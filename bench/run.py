@@ -37,6 +37,9 @@ WORKER = Path(__file__).resolve().parent / "worker.py"
 
 SETUP_PROBES = 9  # extra interpreter starts per run, for the set-up median
 DEADLINE_S = 170.0  # the whole run, workers included, must end before this
+# worker.reference_s() on the 2-core Intel Xeon VM the benchmark was built on,
+# at its faster speed; every reported time is scaled to this host speed
+REFERENCE_NOMINAL_S = 4.0e-4
 
 END_TO_END_UNITS = {
     "setup_s": "s",
@@ -104,15 +107,17 @@ def _worker(request: dict[str, Any], started: float) -> tuple[float, dict[str, A
     return spawned, json.loads(proc.stdout.splitlines()[-1])
 
 
-def _fastest(batches: list[dict[str, Any]]) -> list[float]:
-    """Each query's fastest time over the batches.
+def _scale(worker_result: dict[str, Any]) -> float:
+    """Factor that brings a worker's times to the nominal host speed.
 
-    Every batch runs the same queries in a fresh process, so query i is
-    cold in each of them. The host's speed drifts by tens of percent over
-    seconds, which only ever adds time; the fastest of a query's runs is
-    the estimate that drift disturbs least.
+    The host this benchmark was built on switches, for minutes at a time,
+    between speeds up to 1.7x apart. Every worker times a fixed reference
+    routine that uses no sumrank code (worker.reference_s) while it runs.
+    Its times are then scaled by REFERENCE_NOMINAL_S over the median
+    reference time, so runs made at different host speeds stay comparable.
+    A change to sumrank does not touch the reference.
     """
-    return [min(ts) for ts in zip(*(b["times"] for b in batches))]
+    return REFERENCE_NOMINAL_S / statistics.median(worker_result["reference_s"])
 
 
 def _percentile(values: list[float], pct: int) -> float:
@@ -139,7 +144,7 @@ def run(workload: str, seed: int, seconds: int, trace: bool) -> dict[str, Any]:
     setup = []
     for _ in range(SETUP_PROBES):
         spawned, result = _worker({"mode": "probe"}, started)
-        setup.append(result["ready"] - spawned)
+        setup.append((result["ready"] - spawned) * _scale(result))
 
     plain: list[dict[str, Any]] = []
     traced: list[dict[str, Any]] = []
@@ -157,7 +162,7 @@ def run(workload: str, seed: int, seconds: int, trace: bool) -> dict[str, Any]:
                 "check": not plain and not kind,
             }, started)
             batch_elapsed.append(time.perf_counter() - t0 - result["check_s"])
-            setup.append(result["ready"] - spawned)
+            setup.append((result["ready"] - spawned) * _scale(result))
             (traced if kind else plain).append(result)
         used = time.perf_counter() - measure_start
         if used + sum(batch_elapsed[-len(kinds):]) > seconds:
@@ -168,10 +173,11 @@ def run(workload: str, seed: int, seconds: int, trace: bool) -> dict[str, Any]:
     attempted = len(queries) * len(batches)
     failed = sum(len(b["failed"]) for b in batches)
     errors = Counter(f["reason"].split(":")[0] for f in plain[0]["failed"])
-    times = _fastest(plain)
+    walls = [sum(b["times"]) * _scale(b) for b in plain]
+    times = [t * _scale(b) for b in plain for t in b["times"]]
     end_to_end = {
         "setup_s": statistics.median(setup),
-        "wall_s": sum(times),
+        "wall_s": statistics.median(walls),
         "query_p50_ms": 1000 * statistics.median(times),
         "query_p90_ms": 1000 * _percentile(times, 90),
         "peak_rss_mb": statistics.median(b["peak_rss_kb"] for b in plain) / 1024,
@@ -182,8 +188,9 @@ def run(workload: str, seed: int, seconds: int, trace: bool) -> dict[str, Any]:
         "queries": len(queries),
         "batches": len(plain),
         "traced_batches": len(traced),
-        "batch_walls_s": [round(sum(b["times"]), 4) for b in plain],
-        "traced_walls_s": [round(sum(b["times"]), 4) for b in traced],
+        "unscaled_walls_s": [round(sum(b["times"]), 4) for b in plain],
+        "reference_ms": [round(1000 * statistics.median(b["reference_s"]), 4) for b in plain],
+        "traced_walls_s": [round(sum(b["times"]) * _scale(b), 4) for b in traced],
         "query_samples": len(times),
         "p90_samples_beyond": sum(1 for t in times if 1000 * t > end_to_end["query_p90_ms"]),
         "setup_samples": len(setup),
@@ -204,7 +211,9 @@ def run(workload: str, seed: int, seconds: int, trace: bool) -> dict[str, Any]:
             name: statistics.median_low(b["layers"][name] for b in traced)
             for name in traced[0]["layers"]
         }
-        metrics["trace.overhead_ratio"] = sum(_fastest(traced)) / end_to_end["wall_s"]
+        metrics["trace.overhead_ratio"] = (
+            statistics.median(sum(b["times"]) * _scale(b) for b in traced) / end_to_end["wall_s"]
+        )
         metrics["failed_frac"] = details["failed_frac"]
         units = PER_LAYER_UNITS
     else:

@@ -39,6 +39,29 @@ import checks  # noqa: E402
 from spans import Tracer  # noqa: E402
 
 _TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
+_REFERENCE_EVERY_S = 0.1
+
+
+def reference_s() -> float:
+    """Fastest of three runs of a fixed routine that uses no sumrank code.
+
+    It is plain interpreter work (small-int arithmetic, a dict, a list), the
+    kind that dominates the program's time, and so tracks the host's
+    current speed.
+    """
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        key = 0
+        seen = {}
+        row = [0] * 64
+        for i in range(2000):
+            key = (key * 31 + i) % 1000003
+            seen[key & 255] = i
+            row[i & 63] += key
+        best = min(best, time.perf_counter() - start)
+    return best
+
 
 class _Sink:
     """A stdout stand-in that keeps what is written without copying it."""
@@ -82,6 +105,8 @@ def run_batch(request: dict[str, Any]) -> dict[str, Any]:
     times: list[float] = []
     outcomes: list[dict[str, Any]] = []
     oracle_answers = 0
+    reference = [reference_s()]
+    since_reference = 0.0
     for argv in request["queries"]:
         if tracer is not None:
             root = tracer.open("bench.query")
@@ -90,6 +115,10 @@ def run_batch(request: dict[str, Any]) -> dict[str, Any]:
         if tracer is not None:
             tracer.close(root, root_start)
         times.append(elapsed)
+        since_reference += elapsed
+        if since_reference >= _REFERENCE_EVERY_S:
+            reference.append(reference_s())
+            since_reference = 0.0
         digest.update(json.dumps([argv, code, error]).encode())
         digest.update(_TIMESTAMP.sub('"timestamp": ""', out, count=1).encode())
         report = json.loads(out) if code is not None and out else None
@@ -125,6 +154,7 @@ def run_batch(request: dict[str, Any]) -> dict[str, Any]:
     return {
         "ready": READY,
         "times": times,
+        "reference_s": reference,
         "digest": digest.hexdigest(),
         "peak_rss_kb": peak_rss_kb,
         "failed": failed,
@@ -141,7 +171,7 @@ def main() -> int:
         return 3
     request = json.load(sys.stdin)
     if request["mode"] == "probe":
-        result: dict[str, Any] = {"ready": READY}
+        result: dict[str, Any] = {"ready": READY, "reference_s": [reference_s()]}
     else:
         result = run_batch(request)
     sys.stdout.write(json.dumps(result) + "\n")
