@@ -331,7 +331,7 @@ def _thm1_argv(q: tuple) -> list[str]:
             "--variant", "thm1-literal"]
 
 
-# (name, count, sampler, argv builder, proxy window in seconds). Windows and
+# (name, count, sampler, argv maker, proxy window in seconds). Windows and
 # counts are set so the batch median falls in the middle of `exact-profile`
 # and its 90th percentile in the middle of `exact-t`, away from stratum edges.
 INTERSECT_STRATA = (
