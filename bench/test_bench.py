@@ -22,6 +22,7 @@ import checks  # noqa: E402
 import queries  # noqa: E402
 import run as bench_run  # noqa: E402
 import spans  # noqa: E402
+import worker  # noqa: E402
 
 METRIC_NAME = re.compile(r"[A-Za-z0-9_.-]+")
 
@@ -35,12 +36,14 @@ def test_same_seed_gives_same_inputs(workload):
 
 
 def test_bounds_batch_stays_in_its_ranges():
+    for _n_table, _n_radius, cells in queries.BOUNDS_TIERS:
+        for q, m, eta, ell in cells:
+            assert q in (2, 3, 4, 5, 7, 8, 9)
+            assert 8 <= m <= 28 and 8 <= eta <= 28 and 4 <= ell <= 28
     batch = queries.make_batch("bounds", 3)
     per_params: dict[tuple, list[str]] = {}
     for argv in batch:
         p = checks.params(argv)
-        assert p.q in queries.BOUNDS_Q
-        assert 8 <= p.m <= 28 and 8 <= p.eta <= 28 and 4 <= p.ell <= 28
         per_params.setdefault((p.q, p.m, p.eta, p.ell), []).append(checks.flags(argv)["kind"])
     for kinds in per_params.values():
         assert sum(k != "distribution" for k in kinds) >= 2  # several radii per params
@@ -139,3 +142,47 @@ def test_worker_counts_refused_and_rejected_queries_as_failed():
     assert [f["reason"].split(":")[0] for f in result["failed"]] == ["exit 2", "exit 3"]
     assert result["layers"]["oracle.enumerations"] > 0
     assert result["layers"]["oracle.budget_refusals"] > 0  # verify lists them as skipped
+
+
+def _outcome(argv: list[str], code: int, summary=None, error=None) -> dict:
+    return {"argv": argv, "code": code, "error": error, "stderr": "", "summary": summary}
+
+
+def test_verify_mismatch_at_exit_4_is_not_correct():
+    outcome = _outcome(["verify", "--grid", "2,1,1,1"], 4, {"required_failures": 2})
+    failed = worker.failures("verify", [outcome], check=True)
+    assert [f["reason"] for f in failed] == ["check failed: 2 required checks failed"]
+    assert not bench_run.is_correct([{"digest": "d", "failed": failed}])
+
+
+def test_only_the_big_output_defect_is_expected():
+    digits_error = ("ValueError: Exceeds the limit (4300 digits) for integer string "
+                    "conversion; use sys.set_int_max_str_digits() to increase the limit")
+    big = ["volume", "--q", "2", "--m", "26", "--eta", "26", "--ell", "26"]
+    small = ["volume", "--q", "2", "--m", "8", "--eta", "8", "--ell", "4"]
+    known = worker.failures("bounds", [_outcome(big + ["--kind", "distribution"], None,
+                                                error=digits_error)], check=True)
+    assert known[0]["expected"]
+    assert bench_run.is_correct([{"digest": "d", "failed": known}])
+    for argv, error in [(big + ["--kind", "ball", "--t", "2"], digits_error),
+                        (small + ["--kind", "distribution"], digits_error),
+                        (big + ["--kind", "distribution"], "ValueError: something else")]:
+        failed = worker.failures("bounds", [_outcome(argv, None, error=error)], check=True)
+        assert not failed[0]["expected"], argv
+        assert not bench_run.is_correct([{"digest": "d", "failed": failed}])
+    for workload, argv, code in [("intersect", ["intersect", "--q", "2"], 1),
+                                 ("verify", ["verify", "--grid", "2,1,1,1"], 3)]:
+        failed = worker.failures(workload, [_outcome(argv, code)], check=True)
+        assert not bench_run.is_correct([{"digest": "d", "failed": failed}])
+    assert not bench_run.is_correct([{"digest": "a", "failed": []}, {"digest": "b", "failed": []}])
+
+
+def test_output_hash_blanks_the_timestamp_and_ignores_chunking():
+    text = '{"a": 1, "timestamp": "2026-01-01T00:00:00", "b": "' + "x" * 200_000 + '"}'
+    later = text.replace("2026-01-01", "2027-02-02")
+    digests = []
+    for parts in ([text], [later], [later[:70_000], later[70_000:]]):
+        d = worker.hashlib.sha256()
+        worker._hash_output(d, parts)
+        digests.append(d.hexdigest())
+    assert len(set(digests)) == 1

@@ -10,10 +10,12 @@ The request arrives as JSON on stdin:
      "trace": bool, "check": bool}
 
 The batch runs closed-loop, one query after the other, each through
-`sumrank.cli.main(argv)` in-process. Only the call itself is timed; parsing
-and hashing the output happen between calls, and the correctness checks
-run after the last query (with tracing removed), so neither the timings nor
-the traced counts include them. The result is one JSON line on stdout.
+`sumrank.cli.main(argv)` in-process. Only the call itself is timed; hashing
+the output happens between calls, and the correctness checks run after the
+last query (with tracing removed), so neither the timings nor the traced
+counts include them. Only a checked or traced batch parses its outputs; a
+plain batch hashes them in chunks and keeps no copy, so its peak RSS is
+mostly the program's own. The result is one JSON line on stdout.
 """
 
 import sys
@@ -40,6 +42,7 @@ from spans import Tracer  # noqa: E402
 
 _TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 _REFERENCE_EVERY_S = 0.1
+_HASH_CHUNK = 1 << 16
 
 
 def reference_s() -> float:
@@ -80,7 +83,21 @@ class _Sink:
         return "".join(self.parts)
 
 
-def _run_query(argv: list[str]) -> tuple[float, Optional[int], Optional[str], str, str]:
+def _hash_output(digest: Any, parts: list[str]) -> None:
+    """Hash the output with its first timestamp blanked, a chunk at a time."""
+    blanked = False
+    for part in parts:
+        cut = None if blanked else _TIMESTAMP.search(part)
+        spans = [(0, len(part))] if cut is None else [(0, cut.start()), (cut.end(), len(part))]
+        for n, (lo, hi) in enumerate(spans):
+            if n:
+                digest.update(b'"timestamp": ""')
+                blanked = True
+            for i in range(lo, hi, _HASH_CHUNK):
+                digest.update(part[i:min(i + _HASH_CHUNK, hi)].encode())
+
+
+def _run_query(argv: list[str]) -> tuple[float, Optional[int], Optional[str], _Sink, str]:
     out, err = _Sink(), _Sink()
     error = None
     code: Optional[int] = None
@@ -90,14 +107,43 @@ def _run_query(argv: list[str]) -> tuple[float, Optional[int], Optional[str], st
             code = sumrank.cli.main(argv)
         except SystemExit as exc:  # argparse rejects bad arguments this way
             code = exc.code if isinstance(exc.code, int) else 2
-        except Exception as exc:  # counted as a failed query, by class
-            error = type(exc).__name__
+        except Exception as exc:  # counted as a failed query, by class and message
+            error = f"{type(exc).__name__}: {str(exc)[:200]}"
         elapsed = time.perf_counter() - start
-    return elapsed, code, error, out.text(), err.text()
+    return elapsed, code, error, out, err.text()
+
+
+def failures(workload: str, outcomes: list[dict[str, Any]], check: bool) -> list[dict[str, Any]]:
+    """The failed queries of a batch, each marked expected or not.
+
+    A query fails if it raises, fails a correctness check, or exits non-zero
+    (a budget refusal is exit 3). Only the known defect that
+    `checks.known_defect` names is expected; any other failure makes the
+    run incorrect.
+    """
+    problems = checks.run(workload, outcomes) if check else {}
+    failed = []
+    for i, outcome in enumerate(outcomes):
+        reason = None
+        if outcome["error"] is not None:
+            reason = f"raised {outcome['error']}"
+        elif i in problems:
+            reason = f"check failed: {problems[i]}"
+        elif outcome["code"] != 0:
+            reason = f"exit {outcome['code']}: {outcome['stderr'].strip()}"
+        if reason is not None:
+            failed.append({
+                "index": i,
+                "argv": " ".join(outcome["argv"]),
+                "reason": reason,
+                "expected": checks.known_defect(workload, outcome["argv"], reason),
+            })
+    return failed
 
 
 def run_batch(request: dict[str, Any]) -> dict[str, Any]:
     workload = request["workload"]
+    parse = request["check"] or request["trace"]
     tracer = Tracer() if request["trace"] else None
     if tracer is not None:
         tracer.install()
@@ -120,9 +166,10 @@ def run_batch(request: dict[str, Any]) -> dict[str, Any]:
             reference.append(reference_s())
             since_reference = 0.0
         digest.update(json.dumps([argv, code, error]).encode())
-        digest.update(_TIMESTAMP.sub('"timestamp": ""', out, count=1).encode())
-        report = json.loads(out) if code is not None and out else None
-        if report is not None:
+        _hash_output(digest, out.parts)
+        report = None
+        if parse and code is not None and out.parts:
+            report = json.loads(out.text())
             oracle_answers += checks.oracle_answers(report)
         outcomes.append({
             "argv": argv,
@@ -138,19 +185,8 @@ def run_batch(request: dict[str, Any]) -> dict[str, Any]:
         layers = tracer.metrics(oracle_answers)
         tracer.uninstall()
     check_start = time.perf_counter()
-    problems = checks.run(workload, outcomes) if request["check"] else {}
+    failed = failures(workload, outcomes, request["check"])
     check_s = time.perf_counter() - check_start
-    failed = []
-    for i, outcome in enumerate(outcomes):
-        reason = None
-        if outcome["error"] is not None:
-            reason = f"raised {outcome['error']}"
-        elif outcome["code"] != 0:
-            reason = f"exit {outcome['code']}: {outcome['stderr'].strip()}"
-        elif i in problems:
-            reason = f"check failed: {problems[i]}"
-        if reason is not None:
-            failed.append({"index": i, "argv": " ".join(outcome["argv"]), "reason": reason})
     return {
         "ready": READY,
         "times": times,
@@ -159,7 +195,7 @@ def run_batch(request: dict[str, Any]) -> dict[str, Any]:
         "peak_rss_kb": peak_rss_kb,
         "failed": failed,
         "checked": len(outcomes) if request["check"] else 0,
-        "check_failures": len(problems),
+        "check_failures": sum(f["reason"].startswith("check failed") for f in failed),
         "check_s": check_s,
         "layers": layers,
     }
