@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from typing import Callable, Iterator, Optional
 
 WORKLOADS = ("bounds", "intersect", "verify")
@@ -103,7 +104,10 @@ BOUNDS_QUERIES_PER_PARAMS = 4
 # and spheres, so its first query pays for the whole distribution. The
 # counts put the batch's 90th percentile in the middle of the 32 ms tier.
 # The spaces of the 700 ms cells, and of some 200 ms ones, pass 4300 digits,
-# so their distribution queries hit the known str() defect.
+# so their distribution queries hit the known str() defect (see
+# `big_output`). Those queries are not timed: the batch keeps the set's
+# small-t queries, whose first one then pays for the distribution, and the
+# distribution query goes to the set's probes instead.
 BOUNDS_TIERS: tuple[tuple[int, int, tuple[Cell, ...]], ...] = (
     (4, 4, ((2, 12, 12, 8), (2, 12, 10, 10), (2, 22, 14, 6), (9, 28, 12, 4),
             (3, 22, 12, 6), (3, 28, 16, 4), (2, 14, 10, 10), (7, 22, 10, 6),
@@ -121,9 +125,25 @@ BOUNDS_TIERS: tuple[tuple[int, int, tuple[Cell, ...]], ...] = (
 )
 
 
-def bounds_queries(seed: int) -> list[list[str]]:
+def big_output(cell: Cell) -> bool:
+    """Whether the space q^(m*eta*ell) has more digits than `str(int)` allows.
+
+    A distribution's top entries are nearly that large, so the CLI's
+    `--kind distribution` for such a cell raises ValueError when it writes
+    them (the known defect in `report.make_record`). Python 3.11 caps
+    `str(int)` at `sys.get_int_max_str_digits()` digits (4300 by default);
+    0 or an older Python means no cap.
+    """
+    q, m, eta, ell = cell
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return limit > 0 and m * eta * ell * math.log10(q) >= limit
+
+
+def _bounds_split(seed: int) -> tuple[list[list[str]], list[list[str]]]:
+    """(the timed batch, the distribution queries that hit the known defect)."""
     rng = random.Random(seed)
     groups = []
+    probes = []
     for n_table, n_radius, cells in BOUNDS_TIERS:
         for i, cell in enumerate(rng.sample(cells, n_table + n_radius)):
             args = _params_args(cell)
@@ -133,7 +153,11 @@ def bounds_queries(seed: int) -> list[list[str]]:
             )
             group = [["volume", *args, "--kind", kind, "--t", str(t)] for kind, t in radii]
             if i < n_table:
-                group.insert(0, ["volume", *args, "--kind", "distribution"])
+                distribution = ["volume", *args, "--kind", "distribution"]
+                if big_output(cell):
+                    probes.append(distribution)
+                else:
+                    group.insert(0, distribution)
             groups.append(group)
     # interleave the params sets but keep each set's own query order
     order = [g for g, group in enumerate(groups) for _ in group]
@@ -143,7 +167,11 @@ def bounds_queries(seed: int) -> list[list[str]]:
     for g in order:
         batch.append(groups[g][cursors[g]])
         cursors[g] += 1
-    return batch
+    return batch, probes
+
+
+def bounds_queries(seed: int) -> list[list[str]]:
+    return _bounds_split(seed)[0]
 
 
 # --------------------------------------------------------------------------
@@ -389,3 +417,8 @@ GENERATORS = {
 def make_batch(workload: str, seed: int) -> list[list[str]]:
     """The fixed batch of CLI argument lists for a workload and seed."""
     return GENERATORS[workload](seed)
+
+
+def make_probes(workload: str, seed: int) -> list[list[str]]:
+    """The workload's queries that hit the known defect; they run once, untimed."""
+    return _bounds_split(seed)[1] if workload == "bounds" else []

@@ -8,9 +8,11 @@ again and again, each time in a fresh interpreter (bench/worker.py) so the
 caches start cold, until S seconds are used (at least two plain batches).
 One client sends each query only after the previous one has finished;
 everything runs in one thread. The first batch also checks the outputs
-(bench/checks.py). The run is correct only if every batch produces the same
-output digest and no query fails except by the known defect
-(checks.known_defect).
+(bench/checks.py) and runs, once and untimed, the queries that hit the known
+defect (queries.make_probes, checks.known_defect), so no timed query is
+expected to fail. The run is correct only if every batch produces the same
+output digest, no timed query fails, and every probe either hits the known
+defect or answers correctly.
 
 With --trace 0 the result holds the end-to-end metrics. With --trace 1 it
 alternates plain and traced batches and holds the per-layer metrics of the
@@ -32,7 +34,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Any
 
-from queries import WORKLOADS, make_batch
+from queries import WORKLOADS, make_batch, make_probes
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKER = Path(__file__).resolve().parent / "worker.py"
@@ -80,6 +82,7 @@ PER_LAYER_UNITS = {
     "cli.self_s": "s",
     "trace.overhead_ratio": "ratio",
     "failed_frac": "ratio",
+    "report.known_defect_share": "ratio",
 }
 
 
@@ -138,9 +141,10 @@ def _git_sha() -> str:
 
 
 def is_correct(batches: list[dict[str, Any]]) -> bool:
-    """Every batch gave the same outputs, and no query failed but by the known defect."""
+    """Every batch gave the same outputs, and nothing failed but probes by the known defect."""
     return (len({b["digest"] for b in batches}) == 1
-            and all(f["expected"] for b in batches for f in b["failed"]))
+            and not any(b["failed"] for b in batches)
+            and not any(b["probes"]["unexpected"] for b in batches))
 
 
 def run(workload: str, seed: int, seconds: int, trace: bool) -> dict[str, Any]:
@@ -148,6 +152,7 @@ def run(workload: str, seed: int, seconds: int, trace: bool) -> dict[str, Any]:
     if not (ROOT / "src" / "sumrank" / "cli.py").is_file():
         raise BenchError(f"no sumrank sources under {ROOT / 'src'}")
     queries = make_batch(workload, seed)
+    probes = make_probes(workload, seed)
 
     setup = []
     for _ in range(SETUP_PROBES):
@@ -168,6 +173,7 @@ def run(workload: str, seed: int, seconds: int, trace: bool) -> dict[str, Any]:
                 "queries": queries,
                 "trace": kind,
                 "check": not plain and not kind,
+                "probes": probes if not plain and not kind else [],
             }, started)
             batch_elapsed.append(time.perf_counter() - t0 - result["check_s"])
             setup.append((result["ready"] - spawned) * _scale(result))
@@ -183,7 +189,9 @@ def run(workload: str, seed: int, seconds: int, trace: bool) -> dict[str, Any]:
     failed = sum(len(b["failed"]) for b in batches)
     errors = Counter(f["reason"].split(":")[0] for f in plain[0]["failed"])
     unexpected = sorted({f"{f['argv']}: {f['reason']}"
-                         for b in batches for f in b["failed"] if not f["expected"]})
+                         for b in batches for f in b["failed"] + b["probes"]["unexpected"]})
+    probed = plain[0]["probes"]
+    known_defect_share = probed["known_defect"] / (len(queries) + len(probes))
     walls = [sum(b["times"]) * _scale(b) for b in plain]
     times = [t * _scale(b) for b in plain for t in b["times"]]
     end_to_end = {
@@ -211,6 +219,12 @@ def run(workload: str, seed: int, seconds: int, trace: bool) -> dict[str, Any]:
         "failures_by_reason": errors,
         "failed_queries": [f["argv"] for f in plain[0]["failed"]],
         "unexpected_failures": unexpected[:20],
+        "known_defect": {
+            "queries": [" ".join(argv) for argv in probes],
+            "raised": probed["known_defect"],
+            "reasons": probed["reasons"],
+            "share": known_defect_share,
+        },
         "output_sha256": sorted(digests),
         "git_sha": _git_sha(),
         "python": platform.python_version(),
@@ -227,6 +241,7 @@ def run(workload: str, seed: int, seconds: int, trace: bool) -> dict[str, Any]:
             statistics.median(sum(b["times"]) * _scale(b) for b in traced) / end_to_end["wall_s"]
         )
         metrics["failed_frac"] = details["failed_frac"]
+        metrics["report.known_defect_share"] = known_defect_share
         units = PER_LAYER_UNITS
     else:
         metrics = end_to_end
@@ -258,6 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     for name, value in out["end_to_end"].items():
         print(f"{name:<14} {value:12.6g} {END_TO_END_UNITS[name]}")
     print(f"{'failed_frac':<14} {out['details']['failed_frac']:12.6g} ratio")
+    print(f"{'known_defect':<14} {out['details']['known_defect']['share']:12.6g} ratio")
     print("details " + json.dumps(out["details"], sort_keys=True))
     print(json.dumps(out["result"]))
     return 0

@@ -148,33 +148,74 @@ def _outcome(argv: list[str], code: int, summary=None, error=None) -> dict:
     return {"argv": argv, "code": code, "error": error, "stderr": "", "summary": summary}
 
 
+NO_PROBES = {"ran": 0, "known_defect": 0, "reasons": [], "unexpected": []}
+
+
+def _batch(failed: list, digest: str = "d", probes: dict = NO_PROBES) -> dict:
+    return {"digest": digest, "failed": failed, "probes": probes}
+
+
 def test_verify_mismatch_at_exit_4_is_not_correct():
     outcome = _outcome(["verify", "--grid", "2,1,1,1"], 4, {"required_failures": 2})
     failed = worker.failures("verify", [outcome], check=True)
     assert [f["reason"] for f in failed] == ["check failed: 2 required checks failed"]
-    assert not bench_run.is_correct([{"digest": "d", "failed": failed}])
+    assert not bench_run.is_correct([_batch(failed)])
 
 
-def test_only_the_big_output_defect_is_expected():
-    digits_error = ("ValueError: Exceeds the limit (4300 digits) for integer string "
-                    "conversion; use sys.set_int_max_str_digits() to increase the limit")
-    big = ["volume", "--q", "2", "--m", "26", "--eta", "26", "--ell", "26"]
-    small = ["volume", "--q", "2", "--m", "8", "--eta", "8", "--ell", "4"]
-    known = worker.failures("bounds", [_outcome(big + ["--kind", "distribution"], None,
-                                                error=digits_error)], check=True)
-    assert known[0]["expected"]
-    assert bench_run.is_correct([{"digest": "d", "failed": known}])
-    for argv, error in [(big + ["--kind", "ball", "--t", "2"], digits_error),
-                        (small + ["--kind", "distribution"], digits_error),
-                        (big + ["--kind", "distribution"], "ValueError: something else")]:
-        failed = worker.failures("bounds", [_outcome(argv, None, error=error)], check=True)
-        assert not failed[0]["expected"], argv
-        assert not bench_run.is_correct([{"digest": "d", "failed": failed}])
+DIGITS_ERROR = ("ValueError: Exceeds the limit (4300 digits) for integer string "
+                "conversion; use sys.set_int_max_str_digits() to increase the limit")
+BIG = ["volume", "--q", "2", "--m", "26", "--eta", "26", "--ell", "26"]
+SMALL = ["volume", "--q", "2", "--m", "8", "--eta", "8", "--ell", "4"]
+
+
+def test_only_a_probe_may_hit_the_big_output_defect():
+    assert checks.known_defect("bounds", BIG + ["--kind", "distribution"], "raised " + DIGITS_ERROR)
+    for argv, error in [(BIG + ["--kind", "ball", "--t", "2"], DIGITS_ERROR),
+                        (SMALL + ["--kind", "distribution"], DIGITS_ERROR),
+                        (BIG + ["--kind", "distribution"], "ValueError: something else")]:
+        assert not checks.known_defect("bounds", argv, "raised " + error), argv
+    # a timed query that fails makes the run incorrect, the known defect too
+    known = worker.failures("bounds", [_outcome(BIG + ["--kind", "distribution"], None,
+                                                error=DIGITS_ERROR)], check=True)
+    assert not bench_run.is_correct([_batch(known)])
     for workload, argv, code in [("intersect", ["intersect", "--q", "2"], 1),
                                  ("verify", ["verify", "--grid", "2,1,1,1"], 3)]:
         failed = worker.failures(workload, [_outcome(argv, code)], check=True)
-        assert not bench_run.is_correct([{"digest": "d", "failed": failed}])
-    assert not bench_run.is_correct([{"digest": "a", "failed": []}, {"digest": "b", "failed": []}])
+        assert not bench_run.is_correct([_batch(failed)])
+    assert not bench_run.is_correct([_batch([], "a"), _batch([], "b")])
+    hit = {"ran": 1, "known_defect": 1, "reasons": ["raised ValueError"], "unexpected": []}
+    assert bench_run.is_correct([_batch([], probes=hit)])
+    broken = dict(hit, known_defect=0, unexpected=[{"argv": "x", "reason": "exit 1"}])
+    assert not bench_run.is_correct([_batch([], probes=broken)])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bounds_batch_times_no_big_distribution(seed):
+    probes = queries.make_probes("bounds", seed)
+    assert BIG + ["--kind", "distribution"] in probes
+    for argv in probes:
+        p = checks.params(argv)
+        assert checks.flags(argv)["kind"] == "distribution"
+        assert queries.big_output((p.q, p.m, p.eta, p.ell))
+    for argv in queries.make_batch("bounds", seed):
+        p = checks.params(argv)
+        if checks.flags(argv)["kind"] == "distribution":
+            assert not queries.big_output((p.q, p.m, p.eta, p.ell))
+    assert queries.make_probes("intersect", seed) == queries.make_probes("verify", seed) == []
+
+
+def test_probes_sort_the_known_defect_from_answers():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the smallest cap; (2,12,12,16) has 694 digits
+    try:
+        big = ["volume", "--q", "2", "--m", "12", "--eta", "12", "--ell", "16",
+               "--kind", "distribution"]
+        assert queries.big_output((2, 12, 12, 16))
+        probed = worker.run_probes("bounds", [big, SMALL + ["--kind", "distribution"]])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert probed["ran"] == 2 and probed["known_defect"] == 1
+    assert probed["reasons"] == ["raised ValueError"] and probed["unexpected"] == []
 
 
 def test_output_hash_blanks_the_timestamp_and_ignores_chunking():

@@ -7,13 +7,15 @@ The request arrives as JSON on stdin:
 
     {"mode": "probe"}                       report the import time and exit
     {"mode": "batch", "workload": ..., "queries": [[argv...], ...],
-     "trace": bool, "check": bool}
+     "trace": bool, "check": bool, "probes": [[argv...], ...]}
 
 The batch runs closed-loop, one query after the other, each through
 `sumrank.cli.main(argv)` in-process. Only the call itself is timed; hashing
 the output happens between calls, and the correctness checks run after the
 last query (with tracing removed), so neither the timings nor the traced
-counts include them. Only a checked or traced batch parses its outputs; a
+counts include them. Only a checked batch gets the probes, the queries
+that hit the known defect (queries.make_probes); they run once, untimed,
+after the checks. Only a checked or traced batch parses its outputs; a
 plain batch hashes them in chunks and keeps no copy, so its peak RSS is
 mostly the program's own. The result is one JSON line on stdout.
 """
@@ -114,12 +116,10 @@ def _run_query(argv: list[str]) -> tuple[float, Optional[int], Optional[str], _S
 
 
 def failures(workload: str, outcomes: list[dict[str, Any]], check: bool) -> list[dict[str, Any]]:
-    """The failed queries of a batch, each marked expected or not.
+    """The failed queries of a batch.
 
     A query fails if it raises, fails a correctness check, or exits non-zero
-    (a budget refusal is exit 3). Only the known defect that
-    `checks.known_defect` names is expected; any other failure makes the
-    run incorrect.
+    (a budget refusal is exit 3). Any failed query makes the run incorrect.
     """
     problems = checks.run(workload, outcomes) if check else {}
     failed = []
@@ -136,9 +136,34 @@ def failures(workload: str, outcomes: list[dict[str, Any]], check: bool) -> list
                 "index": i,
                 "argv": " ".join(outcome["argv"]),
                 "reason": reason,
-                "expected": checks.known_defect(workload, outcome["argv"], reason),
             })
     return failed
+
+
+def _parse(code: Optional[int], out: _Sink) -> Optional[dict[str, Any]]:
+    return json.loads(out.text()) if code is not None and out.parts else None
+
+
+def run_probes(workload: str, probes: list[list[str]]) -> dict[str, Any]:
+    """Run the known-defect queries once, untimed, and sort their outcomes.
+
+    A probe that raises the known defect (`checks.known_defect`) is counted
+    as such. One that answers is checked like any other query, so a fix in
+    sumrank shows here. Any other outcome is an unexpected failure.
+    """
+    outcomes = []
+    for argv in probes:
+        _elapsed, code, error, out, err = _run_query(argv)
+        outcomes.append({"argv": argv, "code": code, "error": error, "stderr": err[-300:],
+                         "summary": checks.summarize(workload, argv, _parse(code, out))})
+    failed = failures(workload, outcomes, check=True)
+    known = [f for f in failed if checks.known_defect(workload, probes[f["index"]], f["reason"])]
+    return {
+        "ran": len(probes),
+        "known_defect": len(known),
+        "reasons": sorted({f["reason"].split(":")[0] for f in known}),
+        "unexpected": [f for f in failed if f not in known],
+    }
 
 
 def run_batch(request: dict[str, Any]) -> dict[str, Any]:
@@ -167,9 +192,8 @@ def run_batch(request: dict[str, Any]) -> dict[str, Any]:
             since_reference = 0.0
         digest.update(json.dumps([argv, code, error]).encode())
         _hash_output(digest, out.parts)
-        report = None
-        if parse and code is not None and out.parts:
-            report = json.loads(out.text())
+        report = _parse(code, out) if parse else None
+        if report is not None:
             oracle_answers += checks.oracle_answers(report)
         outcomes.append({
             "argv": argv,
@@ -186,6 +210,7 @@ def run_batch(request: dict[str, Any]) -> dict[str, Any]:
         tracer.uninstall()
     check_start = time.perf_counter()
     failed = failures(workload, outcomes, request["check"])
+    probes = run_probes(workload, request.get("probes", []))
     check_s = time.perf_counter() - check_start
     return {
         "ready": READY,
@@ -194,6 +219,7 @@ def run_batch(request: dict[str, Any]) -> dict[str, Any]:
         "digest": digest.hexdigest(),
         "peak_rss_kb": peak_rss_kb,
         "failed": failed,
+        "probes": probes,
         "checked": len(outcomes) if request["check"] else 0,
         "check_failures": sum(f["reason"].startswith("check failed") for f in failed),
         "check_s": check_s,
