@@ -8,23 +8,25 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from typing import Any, Optional
 
-from sumrank import __version__, intersections, oracle, volumes
+from sumrank import __version__, oracle, volumes
 from sumrank.compositions import enumerate_uniform
 from sumrank.report import make_record, make_report, report_to_json, report_to_text
+from sumrank.variants import BALL, EXACT, QUESTIONS, SPHERE
+from sumrank.verify import EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK, run_verification
 from sumrank.volumes import Params
 
-EXIT_OK = 0
 EXIT_BAD_ARGS = 2
-EXIT_BUDGET = 3
-EXIT_CHECK_FAILED = 4
+
+VOLUMES = {variant.name: variant for variant in (SPHERE, BALL)}
 
 DEFAULT_GRID = ((2, 2, 2, 1), (2, 2, 2, 2), (2, 2, 1, 3))
 
 
 def _add_params_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--q", type=int, required=True, help="field size (>= 2)")
+    sub.add_argument("--q", type=int, required=True, help="field size (a prime power)")
     sub.add_argument("--m", type=int, required=True, help="extension degree")
     sub.add_argument("--eta", type=int, required=True, help="block length")
     sub.add_argument("--ell", type=int, required=True, help="number of blocks")
@@ -47,8 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     vol = subs.add_parser("volume", help="sphere/ball volume or full distribution")
     _add_params_args(vol)
-    vol.add_argument("--kind", choices=("sphere", "ball", "distribution"),
-                     required=True)
+    vol.add_argument("--kind", choices=(*VOLUMES, "distribution"), required=True)
     vol.add_argument("--t", type=int, help="radius (required for sphere/ball)")
     vol.add_argument("--csv", help="with --kind distribution, also write t,count CSV")
     vol.add_argument("--oracle", action="store_true",
@@ -61,9 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     inter.add_argument("--s", type=int, required=True, help="second radius")
     inter.add_argument("--profile", help="comma-separated per-block center distances")
     inter.add_argument("--t", type=int, help="scalar center distance (with --variant)")
-    inter.add_argument("--variant",
-                       choices=("exact", "thm1-literal", "thm2", "thm3"),
-                       default="exact")
+    inter.add_argument("--variant", choices=tuple(QUESTIONS), default=EXACT.name)
     inter.add_argument("--oracle", action="store_true",
                        help="cross-check against brute-force enumeration")
     _add_common_args(inter)
@@ -98,55 +97,40 @@ def _parse_profile(text: str, p: Params) -> tuple[int, ...]:
     return profile
 
 
-def _params_dict(p: Params) -> dict[str, int]:
-    return {"q": p.q, "m": p.m, "eta": p.eta, "ell": p.ell}
-
-
 def cmd_volume(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     p = _params_from(args)
-    records = []
-    if args.kind in ("sphere", "ball"):
+    if args.kind in VOLUMES:
         if args.t is None:
             raise ArgumentProblem(f"--t is required for --kind {args.kind}")
         if args.t < 0:
             raise ArgumentProblem("radius t must be nonnegative")
-        func = volumes.sphere_volume if args.kind == "sphere" else volumes.ball_volume
-        value = func(p, args.t)
-        oracle_value = None
-        if args.oracle:
-            if args.kind == "sphere":
-                oracle_value = oracle.count_sphere(p, args.t, budget=args.budget)
-            else:
-                oracle_value = sum(
-                    oracle.count_sphere(p, j, budget=args.budget)
-                    for j in range(min(args.t, p.max_weight) + 1)
-                )
-        records.append(
-            make_record({"kind": args.kind, "t": args.t}, args.kind, value, oracle_value)
+    weights = oracle.count_weights(p, budget=args.budget) if args.oracle else None
+    if args.kind in VOLUMES:
+        variant = VOLUMES[args.kind]
+        # a sphere reads the weight t, a ball every weight up to t
+        oracle_value = None if weights is None else sum(
+            weights[args.t if variant is SPHERE else 0 : args.t + 1]
         )
+        records = [
+            make_record({"kind": args.kind, "t": args.t}, variant.name,
+                        variant.formula(p, args.t), oracle_value)
+        ]
     else:
         dist = volumes.weight_distribution(p)
-        oracle_dist: Optional[tuple[int, ...]] = None
-        if args.oracle:
-            oracle_dist = tuple(
-                oracle.count_sphere(p, t, budget=args.budget)
-                for t in range(p.max_weight + 1)
-            )
-        for t, value in enumerate(dist):
-            records.append(
-                make_record(
-                    {"kind": "distribution", "t": t},
-                    "sphere",
-                    value,
-                    None if oracle_dist is None else oracle_dist[t],
-                )
-            )
+        records = [
+            make_record({"kind": "distribution", "t": t}, SPHERE.name, value,
+                        None if weights is None else weights[t])
+            for t, value in enumerate(dist)
+        ]
         if args.csv:
-            with open(args.csv, "w") as fh:
-                fh.write("t,count\n")
-                for t, value in enumerate(dist):
-                    fh.write(f"{t},{value}\n")
-    return make_report(_params_dict(p), records, __version__), EXIT_OK
+            try:
+                with open(args.csv, "w") as fh:
+                    fh.write("t,count\n")
+                    for t, value in enumerate(dist):
+                        fh.write(f"{t},{value}\n")
+            except OSError as exc:
+                raise ArgumentProblem(f"cannot write --csv: {exc}") from exc
+    return make_report(asdict(p), records, __version__), EXIT_OK
 
 
 def cmd_intersect(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
@@ -164,79 +148,27 @@ def cmd_intersect(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     else:
         raise ArgumentProblem("either --profile or --t is required")
 
-    def oracle_count(u: int, s: int, profile: tuple[int, ...]) -> Optional[int]:
-        if not args.oracle:
-            return None
-        return oracle.count_intersection(p, u, s, profile, budget=args.budget)
-
-    if args.variant == "exact":
-        for profile in profiles:
-            query = intersections.IntersectionQuery(p=p, u=args.u, s=args.s,
-                                                    tprofile=profile)
-            records.append(
-                make_record(
-                    {"u": args.u, "s": args.s, "profile": list(profile)},
-                    "exact",
-                    intersections.sumrank_intersection_exact(query),
-                    oracle_count(args.u, args.s, profile),
-                )
-            )
-    elif args.variant == "thm1-literal":
-        if args.t is None:
-            raise ArgumentProblem("--variant thm1-literal requires a scalar --t")
-        if args.u + args.s < args.t:
-            raise ArgumentProblem("thm1 requires u + s >= t")
-        records.append(
-            make_record(
-                {"u": args.u, "s": args.s, "t": args.t},
-                "thm1-literal",
-                intersections.theorem1_literal(p, args.u, args.s, args.t),
-            )
-        )
-    elif args.variant == "thm2":
-        # radii are (delta, 1); delta comes from --t or the profile sum
-        for profile in profiles:
-            delta = sum(profile)
-            if delta == 0:
-                raise ArgumentProblem("thm2 requires center distance delta >= 1")
-            records.append(
-                make_record(
-                    {"delta": delta, "profile": list(profile)},
-                    "thm2-profile",
-                    intersections.theorem2_per_profile(p, profile),
-                    oracle_count(delta, 1, profile),
-                )
-            )
-        if args.t is not None:
-            records.append(
-                make_record(
-                    {"delta": args.t},
-                    "thm2-literal",
-                    intersections.theorem2_literal(p, args.t),
-                )
-            )
-    else:  # thm3: radii are (gamma, delta - gamma) with gamma = u
-        for profile in profiles:
-            delta = sum(profile)
-            if not 0 <= args.u <= delta:
-                raise ArgumentProblem("thm3 requires 0 <= u (= gamma) <= delta")
-            records.append(
-                make_record(
-                    {"gamma": args.u, "delta": delta, "profile": list(profile)},
-                    "thm3-aggregate",
-                    intersections.theorem3_aggregate(p, args.u, profile),
-                    oracle_count(args.u, delta - args.u, profile),
-                )
-            )
-        if args.t is not None:
-            records.append(
-                make_record(
-                    {"gamma": args.u, "delta": args.t},
-                    "thm3-literal",
-                    intersections.theorem3_literal(p, args.u, args.t),
-                )
-            )
-    return make_report(_params_dict(p), records, __version__), EXIT_OK
+    question = QUESTIONS[args.variant]
+    if args.t is None and all(variant.literal for variant in question.variants):
+        raise ArgumentProblem(f"--variant {args.variant} requires a scalar --t")
+    for variant in question.variants:
+        if variant.literal:
+            # a literal reading answers the scalar distance --t, once
+            asked = [] if args.t is None else [(None, args.t)]
+        else:
+            asked = [(profile, sum(profile)) for profile in profiles]
+        for profile, delta in asked:
+            radii = question.radii(args.u, args.s, delta)
+            if radii is None:
+                raise ArgumentProblem(question.condition)
+            u, s = radii
+            oracle_value = None
+            if args.oracle and profile is not None:
+                oracle_value = oracle.count_intersection(p, u, s, profile, budget=args.budget)
+            value = variant.formula(p, u, s, delta if profile is None else profile)
+            query = variant.query(u, s, delta, profile, harness=False)
+            records.append(make_record(query, variant.name, value, oracle_value))
+    return make_report(asdict(p), records, __version__), EXIT_OK
 
 
 def _parse_grid(text: str) -> list[tuple[int, int, int, int]]:
@@ -245,174 +177,14 @@ def _parse_grid(text: str) -> list[tuple[int, int, int, int]]:
     if text == "none":
         return []
     cells = []
-    try:
-        for chunk in text.split(";"):
+    for chunk in text.split(";"):
+        try:
             q, m, eta, ell = (int(x) for x in chunk.split(","))
-            cells.append((q, m, eta, ell))
-    except ValueError as exc:
-        raise ArgumentProblem(f"bad grid spec {text!r}") from exc
-    return cells
-
-
-def run_verification(
-    grid: list[tuple[int, int, int, int]], budget: int
-) -> tuple[dict[str, Any], int]:
-    """Compare every formula against the brute-force oracle over a grid.
-
-    Required checks: sphere/ball volumes, the per-profile exact intersection,
-    theorem 3 aggregates, theorem 2 per-profile values, and the rank-1
-    additivity count. Literal theorem readings are recorded as findings in
-    the paper-variant discrepancy section, never as failures.
-    """
-    records: list[dict[str, Any]] = []
-    discrepancies: list[dict[str, Any]] = []
-    skipped: list[dict[str, Any]] = []
-    failures = 0
-
-    for q, m, eta, ell in sorted(grid):
-        try:
-            p = Params(q=q, m=m, eta=eta, ell=ell)
+            Params(q=q, m=m, eta=eta, ell=ell)
         except ValueError as exc:
-            raise ArgumentProblem(f"grid cell {(q, m, eta, ell)}: {exc}") from exc
-        cell = _params_dict(p)
-        if p.space_size > budget:
-            skipped.append({"cell": cell, "required_budget": str(p.space_size)})
-            continue
-
-        def add(record: dict[str, Any], required: bool) -> None:
-            record["query"] = {**cell, **record["query"]}
-            if required:
-                records.append(record)
-            else:
-                discrepancies.append(record)
-
-        # sphere and ball volumes, every radius
-        oracle_dist = [
-            oracle.count_sphere(p, t, budget=budget) for t in range(p.max_weight + 1)
-        ]
-        running = 0
-        for t, ov in enumerate(oracle_dist):
-            rec = make_record({"t": t}, "sphere", volumes.sphere_volume(p, t), ov)
-            add(rec, required=True)
-            running += ov
-            rec = make_record({"t": t}, "ball", volumes.ball_volume(p, t), running)
-            add(rec, required=True)
-
-        # intersections over every distance profile and radius pair
-        all_profiles = [
-            profile
-            for t in range(p.max_weight + 1)
-            for profile in enumerate_uniform(t, p.ell, p.mu)
-        ]
-        for profile in all_profiles:
-            delta = sum(profile)
-            for u in range(p.max_weight + 1):
-                for s in range(p.max_weight + 1):
-                    ov = oracle.count_intersection(p, u, s, profile, budget=budget)
-                    query = intersections.IntersectionQuery(p=p, u=u, s=s,
-                                                            tprofile=profile)
-                    add(
-                        make_record(
-                            {"u": u, "s": s, "profile": list(profile)},
-                            "exact",
-                            intersections.sumrank_intersection_exact(query),
-                            ov,
-                        ),
-                        required=True,
-                    )
-                    if u + s >= delta:
-                        add(
-                            make_record(
-                                {"u": u, "s": s, "t": delta, "profile": list(profile)},
-                                "thm1-literal",
-                                intersections.theorem1_literal(p, u, s, delta),
-                                ov,
-                            ),
-                            required=False,
-                        )
-            # theorem 2: radii (delta, 1); both readings are findings because the
-            # published radius-1 sphere term overcounts for ell >= 2
-            if delta >= 1:
-                ov = oracle.count_intersection(p, delta, 1, profile, budget=budget)
-                add(
-                    make_record(
-                        {"delta": delta, "profile": list(profile)},
-                        "thm2-profile",
-                        intersections.theorem2_per_profile(p, profile),
-                        ov,
-                    ),
-                    required=False,
-                )
-                add(
-                    make_record(
-                        {"delta": delta, "profile": list(profile)},
-                        "thm2-literal",
-                        intersections.theorem2_literal(p, delta),
-                        ov,
-                    ),
-                    required=False,
-                )
-            # theorem 3: radii (gamma, delta - gamma)
-            for gamma in range(delta + 1):
-                ov = oracle.count_intersection(p, gamma, delta - gamma, profile,
-                                               budget=budget)
-                add(
-                    make_record(
-                        {"gamma": gamma, "profile": list(profile)},
-                        "thm3-aggregate",
-                        intersections.theorem3_aggregate(p, gamma, profile),
-                        ov,
-                    ),
-                    required=True,
-                )
-                add(
-                    make_record(
-                        {"gamma": gamma, "delta": delta, "profile": list(profile)},
-                        "thm3-literal",
-                        intersections.theorem3_literal(p, gamma, delta),
-                        ov,
-                    ),
-                    required=False,
-                )
-    # rank-1 additivity count (rank metric, desk scale)
-    for r in range(3 if grid else 0):
-        try:
-            oracle_value = oracle.count_rank1_additive(2, 2, r, 2, budget=budget)
-        except oracle.OracleBudgetError as exc:
-            skipped.append(
-                {"cell": {"check": "lemma8", "r": r}, "required_budget": str(exc.required)}
-            )
-            continue
-        records.append(
-            make_record(
-                {"n": 2, "m": 2, "q": 2, "r": r},
-                "lemma8",
-                intersections.rank1_additive_pairs(2, 2, r, 2),
-                oracle_value,
-            )
-        )
-
-    failures = sum(1 for rec in records if rec["match"] == "no")
-    mismatched_findings = sum(1 for rec in discrepancies if rec["match"] == "no")
-    report = make_report(
-        None,
-        records,
-        __version__,
-        paper_variant_discrepancies=discrepancies,
-        skipped=skipped,
-        summary={
-            "cells": len(grid),
-            "skipped": len(skipped),
-            "required_checks": len(records),
-            "required_failures": failures,
-            "paper_variant_mismatches": mismatched_findings,
-        },
-    )
-    if failures:
-        return report, EXIT_CHECK_FAILED
-    if skipped:
-        return report, EXIT_BUDGET
-    return report, EXIT_OK
+            raise ArgumentProblem(f"bad grid cell {chunk!r}: {exc}") from exc
+        cells.append((q, m, eta, ell))
+    return cells
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
@@ -424,6 +196,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     handlers = {"volume": cmd_volume, "intersect": cmd_intersect, "verify": cmd_verify}
     try:
+        if args.budget < 0:
+            raise ArgumentProblem("--budget must be nonnegative")
         report, code = handlers[args.command](args)
     except ArgumentProblem as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -433,8 +207,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_BUDGET
     rendered = report_to_json(report) if args.format == "json" else report_to_text(report)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(rendered if rendered.endswith("\n") else rendered + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(rendered if rendered.endswith("\n") else rendered + "\n")
+        except OSError as exc:
+            print(f"error: cannot write --output: {exc}", file=sys.stderr)
+            return EXIT_BAD_ARGS
     else:
         print(rendered, end="" if rendered.endswith("\n") else "\n")
     return code

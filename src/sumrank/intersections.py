@@ -18,12 +18,9 @@ from dataclasses import dataclass
 from math import prod
 
 from sumrank.compositions import RankProfile, enumerate_bounded, enumerate_uniform
+from sumrank.qkit import InternalInconsistencyError  # also raised here; kept importable
 from sumrank.qkit import gaussian_binomial, num_matrices_rank, q_krawtchouk
 from sumrank.volumes import Params
-
-
-class InternalInconsistencyError(Exception):
-    """A count formula produced a non-integral or negative value."""
 
 
 def _exact_div(num: int, den: int, what: str) -> int:
@@ -87,12 +84,7 @@ class IntersectionQuery:
     def __post_init__(self) -> None:
         if self.u < 0 or self.s < 0:
             raise ValueError("radii must be nonnegative")
-        if len(self.tprofile) != self.p.ell:
-            raise ValueError(
-                f"profile length {len(self.tprofile)} != ell = {self.p.ell}"
-            )
-        if any(ti < 0 or ti > self.p.mu for ti in self.tprofile):
-            raise ValueError(f"profile parts must lie in 0..mu = {self.p.mu}")
+        _check_profile(self.p, self.tprofile)
 
 
 def sumrank_intersection_exact(query: IntersectionQuery) -> int:

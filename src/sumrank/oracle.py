@@ -2,13 +2,15 @@
 
 Vectors of F_{q^m}^n are enumerated as ell matrices of size m x eta with
 entries in F_q (q prime), ranks are computed by Gaussian elimination mod q,
-and spheres, balls and intersections are counted directly. Enumeration cost
-is q^{m*n}, so a hard budget guards every exhaustive count.
+and one pass over the whole space tallies every vector's distances to two
+centers; sphere, ball and intersection counts are read off that tally.
+Enumeration cost is q^{m*n}, so a hard budget guards every exhaustive count.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from sumrank.compositions import RankProfile
@@ -48,15 +50,6 @@ class BlockVector:
     blocks: tuple[Matrix, ...]
 
 
-@dataclass(frozen=True)
-class CenterPair:
-    """Two centers together with the per-block rank profile of their difference."""
-
-    x: BlockVector
-    y: BlockVector
-    profile: RankProfile
-
-
 def matrix_rank(mat: Matrix, q: int) -> int:
     """Rank of a matrix over F_q (q prime) by row reduction."""
     _check_prime(q)
@@ -87,8 +80,8 @@ def sumrank_weight(v: BlockVector, q: int) -> int:
     return sum(matrix_rank(block, q) for block in v.blocks)
 
 
-def canonical_centers(p: Params, profile: RankProfile) -> CenterPair:
-    """A representative center pair realizing a distance profile.
+def canonical_centers(p: Params, profile: RankProfile) -> BlockVector:
+    """The center y paired with x = 0 to realize a distance profile.
 
     The metric is translation invariant, so x = 0 and y with profile[i]
     leading diagonal ones in block i represent every pair with that profile.
@@ -96,8 +89,6 @@ def canonical_centers(p: Params, profile: RankProfile) -> CenterPair:
     _check_prime(p.q)
     if len(profile) != p.ell or any(t < 0 or t > p.mu for t in profile):
         raise ValueError(f"profile must have {p.ell} parts in 0..{p.mu}")
-    zero = tuple(tuple(0 for _ in range(p.eta)) for _ in range(p.m))
-    x = BlockVector(blocks=(zero,) * p.ell)
     yblocks = []
     for ti in profile:
         yblocks.append(
@@ -106,7 +97,13 @@ def canonical_centers(p: Params, profile: RankProfile) -> CenterPair:
                 for r in range(p.m)
             )
         )
-    return CenterPair(x=x, y=BlockVector(blocks=tuple(yblocks)), profile=tuple(profile))
+    return BlockVector(blocks=tuple(yblocks))
+
+
+def _subtract(a: Matrix, b: Matrix, q: int) -> Matrix:
+    return tuple(
+        tuple((x - y) % q for x, y in zip(arow, brow)) for arow, brow in zip(a, b)
+    )
 
 
 def _all_block_matrices(p: Params) -> list[Matrix]:
@@ -118,17 +115,45 @@ def _all_block_matrices(p: Params) -> list[Matrix]:
     return out
 
 
-def count_sphere(p: Params, t: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Exhaustive count of vectors with sum-rank weight exactly t."""
+def distance_histogram(
+    p: Params, profile: RankProfile, budget: int = DEFAULT_BUDGET
+) -> list[list[int]]:
+    """Joint distance counts H[a][b] over the whole space, by one enumeration.
+
+    H[a][b] is the number of vectors at sum-rank distance a from x = 0 and b
+    from the canonical y of the profile. Every vector of the product space is
+    visited: the ranks of its blocks against x and y are summed, never
+    combined from per-block counts.
+    """
     _check_prime(p.q)
     _check_budget(p.space_size, budget)
+    y = canonical_centers(p, profile)
     mats = _all_block_matrices(p)
-    ranks = [matrix_rank(mat, p.q) for mat in mats]
-    return sum(
-        1
-        for combo in itertools.product(ranks, repeat=p.ell)
-        if sum(combo) == t
-    )
+    dist_x = [matrix_rank(mat, p.q) for mat in mats]
+    stride = p.max_weight + 1
+    # block code = (rank distance to x) * stride + (rank distance to y); the
+    # codes of a vector's blocks sum to a * stride + b, as b < stride
+    codes = [
+        [a * stride + matrix_rank(_subtract(mat, yblock, p.q), p.q)
+         for mat, a in zip(mats, dist_x)]
+        for yblock in y.blocks
+    ]
+    tally = Counter(map(sum, itertools.product(*codes)))
+    return [[tally[a * stride + b] for b in range(stride)] for a in range(stride)]
+
+
+def count_weights(p: Params, budget: int = DEFAULT_BUDGET) -> list[int]:
+    """Exhaustive counts of vectors by sum-rank weight 0..ell*mu.
+
+    The marginal of the zero profile's histogram, where both centers are 0.
+    """
+    return [sum(row) for row in distance_histogram(p, (0,) * p.ell, budget)]
+
+
+def count_sphere(p: Params, t: int, budget: int = DEFAULT_BUDGET) -> int:
+    """Exhaustive count of vectors with sum-rank weight exactly t."""
+    weights = count_weights(p, budget)
+    return weights[t] if 0 <= t < len(weights) else 0
 
 
 def count_intersection(
@@ -136,35 +161,16 @@ def count_intersection(
 ) -> int:
     """Exhaustive count of vectors within distance u of x and s of y.
 
-    Centers are the canonical pair for the given profile; by translation
+    Centers are x = 0 and the profile's canonical y; by translation
     invariance the count applies to any pair with the same per-block
     distances.
     """
-    _check_prime(p.q)
-    _check_budget(p.space_size, budget)
-    pair = canonical_centers(p, profile)
-    mats = _all_block_matrices(p)
-    dist_x = [matrix_rank(mat, p.q) for mat in mats]
-    dist_y = []
-    for yblock in pair.y.blocks:
-        dist_y.append(
-            [
-                matrix_rank(
-                    tuple(
-                        tuple((a - b) % p.q for a, b in zip(mrow, yrow))
-                        for mrow, yrow in zip(mat, yblock)
-                    ),
-                    p.q,
-                )
-                for mat in mats
-            ]
-        )
-    count = 0
-    for combo in itertools.product(range(len(mats)), repeat=p.ell):
-        if sum(dist_x[k] for k in combo) <= u:
-            if sum(dist_y[i][k] for i, k in enumerate(combo)) <= s:
-                count += 1
-    return count
+    return count_within(distance_histogram(p, profile, budget), u, s)
+
+
+def count_within(hist: list[list[int]], u: int, s: int) -> int:
+    """Vectors within distance u of x and s of y, summed off a distance histogram."""
+    return sum(sum(row[: max(s + 1, 0)]) for row in hist[: max(u + 1, 0)])
 
 
 def count_rank1_additive(
@@ -178,19 +184,9 @@ def count_rank1_additive(
     p = Params(q=q, m=m, eta=n, ell=1)
     if r > p.mu:
         raise ValueError(f"rank {r} exceeds min(m, n) = {p.mu}")
-    _check_budget(p.space_size, budget)
-    x = canonical_centers(p, (r,)).y.blocks[0]
-    count = 0
-    for y in _all_block_matrices(p):
-        if matrix_rank(y, q) != 1:
-            continue
-        diff = tuple(
-            tuple((a - b) % q for a, b in zip(xrow, yrow))
-            for xrow, yrow in zip(x, y)
-        )
-        if matrix_rank(diff, q) == r + 1:
-            count += 1
-    return count
+    # y ranges over the space, x is the profile's center: H[wt(y)][wt(x - y)]
+    hist = distance_histogram(p, (r,), budget)
+    return hist[1][r + 1] if r < p.mu else 0
 
 
 def _span(vectors: list[tuple[int, ...]], q: int) -> frozenset[tuple[int, ...]]:

@@ -11,9 +11,23 @@ import math
 from functools import lru_cache
 
 
+class InternalInconsistencyError(Exception):
+    """A count formula produced a non-integral or negative value."""
+
+
 def _check_q(q: int) -> None:
     if q < 2:
         raise ValueError(f"q must be an integer >= 2, got {q}")
+
+
+def is_prime_power(q: int) -> bool:
+    """Whether q = p^k for a prime p and k >= 1, by trial division up to sqrt(q)."""
+    if q < 2:
+        return False
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    while q % p == 0:
+        q //= p
+    return q == 1
 
 
 def binomial(n: int, k: int) -> int:
@@ -29,7 +43,7 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
     Evaluated by the telescoping product prod_{i=1}^{k} (q^{n-k+i}-1)/(q^i-1),
     multiplying and dividing in index order so every intermediate stays
-    integral (asserted). Returns 0 when k > n and 1 when k = 0.
+    integral (checked). Returns 0 when k > n and 1 when k = 0.
     """
     _check_q(q)
     if n < 0 or k < 0:
@@ -40,7 +54,8 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     for i in range(1, k + 1):
         result *= q ** (n - k + i) - 1
         result, rem = divmod(result, q**i - 1)
-        assert rem == 0, "gaussian binomial intermediate not integral"
+        if rem != 0:
+            raise InternalInconsistencyError("gaussian binomial intermediate not integral")
     return result
 
 

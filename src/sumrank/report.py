@@ -11,17 +11,9 @@ import datetime
 import json
 from typing import Any, Optional
 
-FORMULA_VARIANTS = (
-    "sphere",
-    "ball",
-    "exact",
-    "thm1-literal",
-    "thm2-literal",
-    "thm2-profile",
-    "thm3-literal",
-    "thm3-aggregate",
-    "lemma8",
-)
+from sumrank.variants import VARIANTS
+
+FORMULA_VARIANTS = tuple(variant.name for variant in VARIANTS)
 
 REPORT_SCHEMA: dict[str, Any] = {
     "type": "object",

@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import prod
 
 from sumrank.compositions import enumerate_uniform
-from sumrank.qkit import num_matrices_rank
+from sumrank.qkit import is_prime_power, num_matrices_rank
 
 
 @dataclass(frozen=True)
@@ -27,11 +27,11 @@ class Params:
     ell: int
 
     def __post_init__(self) -> None:
-        if self.q < 2:
-            raise ValueError(f"q must be >= 2, got {self.q}")
-        for name in ("m", "eta", "ell"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("q", "m", "eta", "ell"):
+            if not isinstance(getattr(self, name), int) or getattr(self, name) < 1:
+                raise ValueError(f"{name} must be a positive int, got {getattr(self, name)!r}")
+        if not is_prime_power(self.q):
+            raise ValueError(f"q must be a prime power, got {self.q}")
 
     @property
     def n(self) -> int:

@@ -180,3 +180,22 @@ def test_text_format(capsys):
                         "--format", "text")
     assert code == EXIT_OK
     assert "sphere" in out and "9" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["volume", *PARAMS_221, "--kind", "sphere", "--t", "1", "--output", "{missing}/r.json"],
+        ["volume", *PARAMS_221, "--kind", "distribution", "--csv", "{missing}/d.csv"],
+        ["volume", *PARAMS_221, "--kind", "sphere", "--t", "1", "--budget", "-1"],
+        ["volume", "--q", "6", "--m", "2", "--eta", "2", "--ell", "1", "--kind", "sphere",
+         "--t", "1"],
+    ],
+    ids=["output-dir-missing", "csv-dir-missing", "negative-budget", "q-not-prime-power"],
+)
+def test_bad_input_is_one_error_line_exit_2(capsys, tmp_path, argv):
+    code = main([arg.format(missing=tmp_path / "missing") for arg in argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_BAD_ARGS
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

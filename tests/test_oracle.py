@@ -1,18 +1,24 @@
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumrank import oracle
+from sumrank.intersections import IntersectionQuery, sumrank_intersection_exact
 from sumrank.oracle import (
     BlockVector,
     OracleBudgetError,
     canonical_centers,
     count_intersection,
     count_sphere,
+    count_within,
     els_pair_count_check,
     matrix_rank,
     sumrank_weight,
 )
 from sumrank.qkit import gaussian_binomial
-from sumrank.volumes import Params
+from sumrank.volumes import Params, ball_volume
 
 P221 = Params(q=2, m=2, eta=2, ell=1)
 P222 = Params(q=2, m=2, eta=2, ell=2)
@@ -49,23 +55,12 @@ def test_sumrank_weight():
 
 
 def test_canonical_centers():
-    pair = canonical_centers(P222, (2, 1))
-    assert pair.x.blocks == (((0, 0), (0, 0)),) * 2
-    assert pair.y.blocks == (((1, 0), (0, 1)), ((1, 0), (0, 0)))
-    # the constructed pair realizes its profile
+    y = canonical_centers(P222, (2, 1))
+    assert y.blocks == (((1, 0), (0, 1)), ((1, 0), (0, 0)))
+    # the constructed center realizes its profile against x = 0
     for profile in [(0, 0), (1, 0), (2, 2), (1, 2)]:
-        pair = canonical_centers(P222, profile)
-        diff = BlockVector(
-            blocks=tuple(
-                tuple(
-                    tuple((a - b) % 2 for a, b in zip(xrow, yrow))
-                    for xrow, yrow in zip(xb, yb)
-                )
-                for xb, yb in zip(pair.x.blocks, pair.y.blocks)
-            )
-        )
-        ranks = tuple(matrix_rank(b, 2) for b in diff.blocks)
-        assert ranks == profile
+        y = canonical_centers(P222, profile)
+        assert tuple(matrix_rank(b, 2) for b in y.blocks) == profile
 
 
 def test_count_sphere_examples():
@@ -123,3 +118,69 @@ def test_els_pair_count_matches_closed_form(q):
 
 def test_rank1_additive_oracle():
     assert oracle.count_rank1_additive(2, 2, 1, 2) == 4
+
+
+# -- properties of the joint distance histogram ------------------------------
+
+PRIME_CELLS = [
+    Params(q=q, m=m, eta=eta, ell=ell)
+    for q in (2, 3, 5, 7)
+    for m in range(1, 13)
+    for eta in range(1, 13)
+    for ell in range(1, 13)
+    if q ** (m * eta * ell) <= 2**12
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _histogram(p, profile):
+    return oracle.distance_histogram(p, profile)
+
+
+@st.composite
+def _questions(draw):
+    p = draw(st.sampled_from(PRIME_CELLS))
+    profile = tuple(draw(st.lists(st.integers(0, p.mu), min_size=p.ell, max_size=p.ell)))
+    radius = st.integers(0, p.max_weight)
+    return p, profile, draw(radius), draw(radius)
+
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@PROPERTY_SETTINGS
+@given(_questions())
+def test_histogram_counts_the_whole_space(question):
+    p, profile, _, _ = question
+    hist = _histogram(p, profile)
+    assert sum(map(sum, hist)) == p.space_size
+    assert count_within(hist, p.max_weight, p.max_weight) == p.space_size
+
+
+@PROPERTY_SETTINGS
+@given(_questions())
+def test_histogram_count_is_symmetric_in_the_radii(question):
+    p, profile, u, s = question
+    hist = _histogram(p, profile)
+    assert count_within(hist, u, s) == count_within(hist, s, u)
+
+
+@PROPERTY_SETTINGS
+@given(_questions(), st.randoms(use_true_random=False))
+def test_histogram_count_ignores_block_order(question, rng):
+    p, profile, u, s = question
+    shuffled = list(profile)
+    rng.shuffle(shuffled)
+    assert count_within(_histogram(p, tuple(shuffled)), u, s) == count_within(
+        _histogram(p, profile), u, s
+    )
+
+
+@PROPERTY_SETTINGS
+@given(_questions())
+def test_histogram_count_matches_exact_formula_and_ball_bound(question):
+    p, profile, u, s = question
+    count = count_within(_histogram(p, profile), u, s)
+    query = IntersectionQuery(p=p, u=u, s=s, tprofile=profile)
+    assert count == sumrank_intersection_exact(query)
+    assert count <= min(ball_volume(p, u), ball_volume(p, s))

@@ -1,6 +1,20 @@
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from sumrank.qkit import binomial, gaussian_binomial, num_matrices_rank, q_krawtchouk
+import sumrank
+from sumrank import intersections, qkit
+from sumrank.qkit import (
+    binomial,
+    gaussian_binomial,
+    is_prime_power,
+    num_matrices_rank,
+    q_krawtchouk,
+)
 
 
 def test_binomial_values():
@@ -81,3 +95,34 @@ def test_q_krawtchouk_rejects_out_of_range():
         q_krawtchouk(1, 5, 3, 2, 2)
     with pytest.raises(ValueError):
         q_krawtchouk(1, 0, 3, 2, 1)
+
+
+def test_is_prime_power():
+    assert [q for q in range(30) if is_prime_power(q)] == [
+        2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29
+    ]
+
+
+def test_internal_inconsistency_error_is_one_class():
+    assert intersections.InternalInconsistencyError is qkit.InternalInconsistencyError
+    assert sumrank.InternalInconsistencyError is qkit.InternalInconsistencyError
+
+
+def test_integrality_check_survives_optimize():
+    # a non-integral q is the one way to reach the check; -O strips asserts
+    src = str(Path(qkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "from sumrank.qkit import InternalInconsistencyError, gaussian_binomial\n"
+        "try:\n    gaussian_binomial(2, 1, 2.5)\n"
+        "except InternalInconsistencyError:\n    print('raised')\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "raised\n"
+
+
+def test_package_source_has_no_assert():
+    for path in Path(sumrank.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name

@@ -25,6 +25,10 @@ def test_params_validation():
         Params(q=1, m=2, eta=2, ell=1)
     with pytest.raises(ValueError):
         Params(q=2, m=0, eta=2, ell=1)
+    with pytest.raises(ValueError):
+        Params(q=6, m=2, eta=2, ell=1)  # not a prime power: no field has 6 elements
+    with pytest.raises(ValueError):
+        Params(q=2.5, m=2, eta=2, ell=1)
 
 
 def test_sphere_volume_examples():
