@@ -85,6 +85,14 @@ def _params_from(args: argparse.Namespace) -> Params:
         raise ArgumentProblem(str(exc)) from exc
 
 
+def _check_oracle_field(p: Params) -> None:
+    # Params takes any prime power, but the oracle enumerates over F_q itself
+    try:
+        oracle._check_prime(p.q)
+    except ValueError as exc:
+        raise ArgumentProblem(str(exc)) from exc
+
+
 def _parse_profile(text: str, p: Params) -> tuple[int, ...]:
     try:
         profile = tuple(int(x) for x in text.split(","))
@@ -104,7 +112,10 @@ def cmd_volume(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
             raise ArgumentProblem(f"--t is required for --kind {args.kind}")
         if args.t < 0:
             raise ArgumentProblem("radius t must be nonnegative")
-    weights = oracle.count_weights(p, budget=args.budget) if args.oracle else None
+    weights = None
+    if args.oracle:
+        _check_oracle_field(p)
+        weights = oracle.count_weights(p, budget=args.budget)
     if args.kind in VOLUMES:
         variant = VOLUMES[args.kind]
         # a sphere reads the weight t, a ball every weight up to t
@@ -164,6 +175,7 @@ def cmd_intersect(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
             u, s = radii
             oracle_value = None
             if args.oracle and profile is not None:
+                _check_oracle_field(p)
                 oracle_value = oracle.count_intersection(p, u, s, profile, budget=args.budget)
             value = variant.formula(p, u, s, delta if profile is None else profile)
             query = variant.query(u, s, delta, profile, harness=False)
@@ -180,9 +192,10 @@ def _parse_grid(text: str) -> list[tuple[int, int, int, int]]:
     for chunk in text.split(";"):
         try:
             q, m, eta, ell = (int(x) for x in chunk.split(","))
-            Params(q=q, m=m, eta=eta, ell=ell)
+            p = Params(q=q, m=m, eta=eta, ell=ell)
         except ValueError as exc:
             raise ArgumentProblem(f"bad grid cell {chunk!r}: {exc}") from exc
+        _check_oracle_field(p)  # every verify cell is checked by the oracle
         cells.append((q, m, eta, ell))
     return cells
 

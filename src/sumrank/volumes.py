@@ -2,9 +2,11 @@
 
 The ambient space is F_{q^m}^n split into ell blocks of length eta, so
 n = ell*eta and each block has rank at most mu = min(m, eta). The production
-path tabulates the full weight distribution by an ell-fold convolution of the
-single-block rank distribution; a direct sum over rank profiles is kept as an
-independent reference.
+path is an ell-fold convolution of the single-block rank distribution,
+truncated at the asked radius: a sphere or ball of radius t convolves only
+weights 0..t, and the full weight distribution is the same convolution at
+t = ell*mu. A direct sum over rank profiles is kept as an independent
+reference.
 """
 
 from __future__ import annotations
@@ -50,30 +52,33 @@ class Params:
         return self.ell * self.mu
 
 
-def block_rank_distribution(p: Params) -> list[int]:
-    """Counts of single-block vectors by rank, indexed 0..mu."""
-    return [num_matrices_rank(p.eta, p.m, r, p.q) for r in range(p.mu + 1)]
+@lru_cache(maxsize=None)
+def _weights_up_to(p: Params, top: int) -> tuple[int, ...]:
+    """Sphere volumes for radii 0..top, by a convolution truncated at degree top.
+
+    The single-block rank distribution (ranks 0..min(mu, top)) is convolved
+    ell times (polynomial multiplication with exact integer coefficients),
+    dropping every degree above top, so no rank or weight beyond top is
+    ever computed. top must lie in 0..ell*mu.
+    """
+    block = [num_matrices_rank(p.eta, p.m, r, p.q) for r in range(min(p.mu, top) + 1)]
+    dist = [1]
+    for _ in range(p.ell):
+        new = [0] * min(len(dist) + len(block) - 1, top + 1)
+        for w, c in enumerate(dist):
+            for r, b in enumerate(block[: top + 1 - w]):
+                new[w + r] += c * b
+        dist = new
+    return tuple(dist)
 
 
 @lru_cache(maxsize=None)
 def weight_distribution(p: Params) -> tuple[int, ...]:
     """Sphere volumes for every radius 0..ell*mu, by convolution.
 
-    Entry t is the number of vectors of sum-rank weight exactly t. The
-    per-block rank distribution is convolved ell times (polynomial
-    multiplication with exact integer coefficients).
+    Entry t is the number of vectors of sum-rank weight exactly t.
     """
-    block = block_rank_distribution(p)
-    dist = [1]
-    for _ in range(p.ell):
-        new = [0] * (len(dist) + p.mu)
-        for w, c in enumerate(dist):
-            if c == 0:
-                continue
-            for r, b in enumerate(block):
-                new[w + r] += c * b
-        dist = new
-    return tuple(dist)
+    return _weights_up_to(p, p.max_weight)
 
 
 def sphere_volume(p: Params, t: int) -> int:
@@ -82,7 +87,7 @@ def sphere_volume(p: Params, t: int) -> int:
         raise ValueError("radius must be nonnegative")
     if t > p.max_weight:
         return 0
-    return weight_distribution(p)[t]
+    return _weights_up_to(p, t)[t]
 
 
 def sphere_volume_by_profiles(p: Params, t: int) -> int:
@@ -106,5 +111,4 @@ def ball_volume(p: Params, t: int) -> int:
     """
     if t < 0:
         raise ValueError("radius must be nonnegative")
-    dist = weight_distribution(p)
-    return sum(dist[: min(t, p.max_weight) + 1])
+    return sum(_weights_up_to(p, min(t, p.max_weight)))

@@ -1,4 +1,5 @@
 import json
+import math
 
 import jsonschema
 import pytest
@@ -9,6 +10,7 @@ from sumrank.cli import (
     EXIT_OK,
     main,
 )
+from sumrank.qkit import num_matrices_rank
 from sumrank.report import REPORT_SCHEMA, report_to_json
 
 PARAMS_221 = ["--q", "2", "--m", "2", "--eta", "2", "--ell", "1"]
@@ -190,8 +192,15 @@ def test_text_format(capsys):
         ["volume", *PARAMS_221, "--kind", "sphere", "--t", "1", "--budget", "-1"],
         ["volume", "--q", "6", "--m", "2", "--eta", "2", "--ell", "1", "--kind", "sphere",
          "--t", "1"],
+        # the oracle enumerates over F_q itself, so a prime power that is not prime is refused
+        ["volume", "--q", "4", "--m", "1", "--eta", "1", "--ell", "1", "--kind", "ball",
+         "--t", "1", "--oracle"],
+        ["intersect", "--q", "8", "--m", "1", "--eta", "1", "--ell", "1", "--u", "1",
+         "--s", "1", "--profile", "1", "--oracle"],
+        ["verify", "--grid", "2,1,1,1;9,1,1,1"],
     ],
-    ids=["output-dir-missing", "csv-dir-missing", "negative-budget", "q-not-prime-power"],
+    ids=["output-dir-missing", "csv-dir-missing", "negative-budget", "q-not-prime-power",
+         "volume-oracle-q-composite", "intersect-oracle-q-composite", "verify-q-composite"],
 )
 def test_bad_input_is_one_error_line_exit_2(capsys, tmp_path, argv):
     code = main([arg.format(missing=tmp_path / "missing") for arg in argv])
@@ -199,3 +208,21 @@ def test_bad_input_is_one_error_line_exit_2(capsys, tmp_path, argv):
     assert code == EXIT_BAD_ARGS
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["sphere", "ball"])
+def test_small_radius_at_a_large_space_matches_the_closed_forms(capsys, kind):
+    # the weight distribution here has 160001 entries; radius 3 needs only four
+    ell = 400
+    n1, n2, n3 = (num_matrices_rank(400, 400, r, 2) for r in (1, 2, 3))
+    spheres = [
+        1,
+        ell * n1,
+        ell * n2 + math.comb(ell, 2) * n1**2,
+        ell * n3 + ell * (ell - 1) * n1 * n2 + math.comb(ell, 3) * n1**3,
+    ]
+    code, report = run_json(capsys, "volume", "--q", "2", "--m", "400", "--eta", "400",
+                            "--ell", str(ell), "--kind", kind, "--t", "3")
+    assert code == EXIT_OK
+    expected = spheres[3] if kind == "sphere" else sum(spheres)
+    assert report["records"][0]["value"] == str(expected)

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sumrank import oracle
 from sumrank.compositions import enumerate_uniform
@@ -247,3 +249,31 @@ def test_rank1_additive_pairs():
 def test_rank1_additive_pairs_zero_rank_is_sphere_size():
     for n, m, q in [(2, 3, 2), (3, 2, 3)]:
         assert rank1_additive_pairs(n, m, 0, q) == num_matrices_rank(n, m, 1, q)
+
+
+@st.composite
+def _rank_cells(draw):
+    """(n, m, q, t) with 1 <= n, m <= 5 and center distance t <= min(m, n)."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    return n, m, draw(st.sampled_from([2, 3, 4, 5])), draw(st.integers(0, min(m, n)))
+
+
+@given(_rank_cells(), st.integers(0, 6), st.integers(0, 6))
+def test_j_is_symmetric_in_the_radii(cell, u, s):
+    n, m, q, t = cell
+    assert rank_sphere_intersection_J(u, s, t, n, m, q) == rank_sphere_intersection_J(
+        s, u, t, n, m, q)
+
+
+@given(_rank_cells(), st.integers(0, 5))
+def test_j_summed_over_the_second_radius_is_the_first_sphere(cell, u):
+    n, m, q, t = cell
+    total = sum(rank_sphere_intersection_J(u, s, t, n, m, q) for s in range(min(m, n) + 1))
+    assert total == num_matrices_rank(n, m, u, q)
+
+
+@given(_rank_cells(), st.integers(0, 6), st.integers(0, 6))
+def test_one_block_exact_intersection_is_the_rank_metric_one(cell, u, s):
+    eta, m, q, t = cell
+    query = IntersectionQuery(p=Params(q=q, m=m, eta=eta, ell=1), u=u, s=s, tprofile=(t,))
+    assert sumrank_intersection_exact(query) == rank_ball_intersection_I(u, s, t, eta, m, q)

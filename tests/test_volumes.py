@@ -1,7 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from sumrank import volumes
 from sumrank.qkit import num_matrices_rank
 from sumrank.volumes import (
     Params,
@@ -100,3 +103,34 @@ def test_convolution_agrees_with_profile_sum(q):
                 p = Params(q=q, m=m, eta=eta, ell=ell)
                 for t in range(p.max_weight + 1):
                     assert sphere_volume(p, t) == sphere_volume_by_profiles(p, t)
+
+
+@st.composite
+def _radius_sequences(draw):
+    """A small cell, radii to ask in order (some past ell*mu), and when to tabulate."""
+    p = Params(q=draw(st.sampled_from([2, 3, 4])), m=draw(st.integers(1, 4)),
+               eta=draw(st.integers(1, 4)), ell=draw(st.integers(1, 4)))
+    asks = draw(st.lists(
+        st.tuples(st.sampled_from(["sphere", "ball"]), st.integers(0, p.max_weight + 2)),
+        max_size=8,
+    ))
+    return p, asks, draw(st.integers(0, len(asks)))
+
+
+@given(_radius_sequences())
+def test_truncated_volumes_agree_with_the_distribution_in_any_order(case):
+    p, asks, tabulate_at = case
+    weight_distribution.cache_clear()
+    volumes._weights_up_to.cache_clear()
+    answers = []
+    for i, (kind, t) in enumerate(asks):
+        if i == tabulate_at:
+            weight_distribution(p)
+        answers.append(sphere_volume(p, t) if kind == "sphere" else ball_volume(p, t))
+    dist = weight_distribution(p)
+    assert len(dist) == p.max_weight + 1 and sum(dist) == p.space_size
+    for (kind, t), answer in zip(asks, answers):
+        if kind == "sphere":
+            assert answer == (dist[t] if t < len(dist) else 0)
+        else:
+            assert answer == sum(dist[: t + 1])
