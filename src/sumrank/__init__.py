@@ -6,7 +6,6 @@ prime fields as ground truth for every closed-form formula.
 """
 
 from sumrank.qkit import (
-    binomial,
     gaussian_binomial,
     num_matrices_rank,
     q_krawtchouk,
@@ -44,7 +43,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Params",
     "ball_volume",
-    "binomial",
     "count_uniform",
     "count_upper_bound",
     "enumerate_bounded",

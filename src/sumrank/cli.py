@@ -88,7 +88,7 @@ def _params_from(args: argparse.Namespace) -> Params:
 def _check_oracle_field(p: Params) -> None:
     # Params takes any prime power, but the oracle enumerates over F_q itself
     try:
-        oracle._check_prime(p.q)
+        oracle.check_prime_field(p.q)
     except ValueError as exc:
         raise ArgumentProblem(str(exc)) from exc
 
@@ -98,10 +98,10 @@ def _parse_profile(text: str, p: Params) -> tuple[int, ...]:
         profile = tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise ArgumentProblem(f"profile must be comma-separated integers: {text!r}") from exc
-    if len(profile) != p.ell:
-        raise ArgumentProblem(f"profile length {len(profile)} != ell = {p.ell}")
-    if any(x < 0 or x > p.mu for x in profile):
-        raise ArgumentProblem(f"profile parts must lie in 0..mu = {p.mu}")
+    try:
+        p.check_profile(profile)
+    except ValueError as exc:
+        raise ArgumentProblem(str(exc)) from exc
     return profile
 
 

@@ -84,7 +84,7 @@ class IntersectionQuery:
     def __post_init__(self) -> None:
         if self.u < 0 or self.s < 0:
             raise ValueError("radii must be nonnegative")
-        _check_profile(self.p, self.tprofile)
+        self.p.check_profile(self.tprofile)
 
 
 def sumrank_intersection_exact(query: IntersectionQuery) -> int:
@@ -152,26 +152,22 @@ def rank1_additive_pairs(n: int, m: int, r: int, q: int) -> int:
 def theorem2_per_profile(p: Params, dprofile: RankProfile) -> int:
     """|B(x, delta) intersect B(y, 1)| for centers with per-block distances dprofile.
 
-    1 + (q^m - 1)(q^n - 1)/(q - 1)
-      - sum_i (q^eta - q^{d_i})(q^m - q^{d_i})/(q - 1),
-    where delta = sum d_i >= 1. The subtracted terms count the rank-1 vectors
-    at distance d_i + 1 from the first center within block i.
+    1 + R(n, m, 0) - sum_i R(eta, m, d_i), with R = rank1_additive_pairs
+    (Lemma 8) and delta = sum d_i >= 1. The main term is the rank-1 sphere of
+    the whole m x n space; the subtracted terms count the rank-1 vectors at
+    distance d_i + 1 from the first center within block i.
 
-    Matches brute force only for ell = 1: the middle term counts rank-1
+    Matches brute force only for ell = 1: the main term counts rank-1
     m x n matrices, but for ell >= 2 a rank-1 matrix can spread over several
     blocks and then has sum-rank weight above 1, so the term overcounts the
     radius-1 sphere. Use sumrank_intersection_exact for the true volume.
     """
-    _check_profile(p, dprofile)
+    p.check_profile(dprofile)
     if sum(dprofile) == 0:
         raise ValueError("centers coincide; requires delta >= 1")
-    q = p.q
-    value = 1 + _exact_div((q**p.m - 1) * (q**p.n - 1), q - 1, "theorem2")
-    for di in dprofile:
-        value -= _exact_div(
-            (q**p.eta - q**di) * (q**p.m - q**di), q - 1, "theorem2"
-        )
-    return value
+    return 1 + rank1_additive_pairs(p.n, p.m, 0, p.q) - sum(
+        rank1_additive_pairs(p.eta, p.m, di, p.q) for di in dprofile
+    )
 
 
 def theorem2_literal(p: Params, delta: int) -> int:
@@ -182,14 +178,11 @@ def theorem2_literal(p: Params, delta: int) -> int:
     """
     if not 1 <= delta <= p.max_weight:
         raise ValueError(f"delta must lie in 1..{p.max_weight}")
-    q = p.q
-    value = 1 + _exact_div((q**p.m - 1) * (q**p.n - 1), q - 1, "theorem2")
-    for dvec in enumerate_uniform(delta, p.ell, p.mu):
-        for di in dvec:
-            value -= _exact_div(
-                (q**p.eta - q**di) * (q**p.m - q**di), q - 1, "theorem2"
-            )
-    return value
+    return 1 + rank1_additive_pairs(p.n, p.m, 0, p.q) - sum(
+        rank1_additive_pairs(p.eta, p.m, di, p.q)
+        for dvec in enumerate_uniform(delta, p.ell, p.mu)
+        for di in dvec
+    )
 
 
 def theorem3_per_profile(p: Params, gprofile: RankProfile, dprofile: RankProfile) -> int:
@@ -199,15 +192,12 @@ def theorem3_per_profile(p: Params, gprofile: RankProfile, dprofile: RankProfile
     This counts the vectors at distance exactly sum g_i from x and exactly
     sum (d_i - g_i) from y, per the block-wise subspace-splitting argument.
     """
-    _check_profile(p, dprofile)
+    p.check_profile(dprofile)
     if len(gprofile) != p.ell:
         raise ValueError("profile length mismatch")
     if any(gi < 0 or gi > di for gi, di in zip(gprofile, dprofile)):
         raise ValueError("requires 0 <= gamma_i <= delta_i for every block")
-    return prod(
-        p.q ** (gi * (di - gi)) * gaussian_binomial(di, gi, p.q)
-        for gi, di in zip(gprofile, dprofile)
-    )
+    return prod(_direct_sum_pairs(di, gi, p.q) for gi, di in zip(gprofile, dprofile))
 
 
 def theorem3_aggregate(p: Params, gamma: int, dprofile: RankProfile) -> int:
@@ -215,7 +205,7 @@ def theorem3_aggregate(p: Params, gamma: int, dprofile: RankProfile) -> int:
 
     Sums the per-block product over all splits of gamma bounded by dprofile.
     """
-    _check_profile(p, dprofile)
+    p.check_profile(dprofile)
     if not 0 <= gamma <= sum(dprofile):
         raise ValueError("requires 0 <= gamma <= delta")
     return sum(
@@ -235,15 +225,10 @@ def theorem3_literal(p: Params, gamma: int, delta: int) -> int:
     total = 0
     for dvec in enumerate_uniform(delta, p.ell, p.mu):
         for gvec in enumerate_bounded(gamma, dvec):
-            total += sum(
-                p.q ** (gi * (di - gi)) * gaussian_binomial(di, gi, p.q)
-                for gi, di in zip(gvec, dvec)
-            )
+            total += sum(_direct_sum_pairs(di, gi, p.q) for gi, di in zip(gvec, dvec))
     return total
 
 
-def _check_profile(p: Params, profile: RankProfile) -> None:
-    if len(profile) != p.ell:
-        raise ValueError(f"profile length {len(profile)} != ell = {p.ell}")
-    if any(x < 0 or x > p.mu for x in profile):
-        raise ValueError(f"profile parts must lie in 0..mu = {p.mu}")
+def _direct_sum_pairs(d: int, g: int, q: int) -> int:
+    """Ordered direct-sum pairs (A, B) of F_q^d with dim A = g: q^{g(d-g)} [d choose g]_q."""
+    return q ** (g * (d - g)) * gaussian_binomial(d, g, q)

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from decimal import Decimal
 
 from sumrank.compositions import RankProfile
-from sumrank.qkit import gaussian_binomial
+from sumrank.qkit import gaussian_binomial, smallest_prime_factor
 from sumrank.volumes import Params
 
 DEFAULT_BUDGET = 2**24
@@ -26,15 +26,17 @@ class OracleBudgetError(Exception):
     """The requested enumeration exceeds the configured budget."""
 
     def __init__(self, required: int, budget: int):
+        # Decimal prints counts past the interpreter's int-to-str digit limit
         super().__init__(
-            f"enumeration needs {required} candidates, budget is {budget}"
+            f"enumeration needs {Decimal(required)} candidates, budget is {budget}"
         )
         self.required = required
         self.budget = budget
 
 
-def _check_prime(q: int) -> None:
-    if q < 2 or any(q % d == 0 for d in range(2, int(q**0.5) + 1)):
+def check_prime_field(q: int) -> None:
+    """Raise ValueError unless q is a prime: the oracle computes over F_q as integers mod q."""
+    if q < 2 or smallest_prime_factor(q) != q:
         raise ValueError(f"oracle requires a prime field size, got {q}")
 
 
@@ -43,16 +45,8 @@ def _check_budget(required: int, budget: int) -> None:
         raise OracleBudgetError(required, budget)
 
 
-@dataclass(frozen=True)
-class BlockVector:
-    """A vector of F_{q^m}^n as ell matrices of size m x eta over prime F_q."""
-
-    blocks: tuple[Matrix, ...]
-
-
 def matrix_rank(mat: Matrix, q: int) -> int:
-    """Rank of a matrix over F_q (q prime) by row reduction."""
-    _check_prime(q)
+    """Rank of a matrix over F_q by row reduction; q must be prime (not checked)."""
     rows = [list(r) for r in mat]
     if not rows:
         return 0
@@ -75,29 +69,21 @@ def matrix_rank(mat: Matrix, q: int) -> int:
     return rank
 
 
-def sumrank_weight(v: BlockVector, q: int) -> int:
-    """Sum of per-block ranks."""
-    return sum(matrix_rank(block, q) for block in v.blocks)
-
-
-def canonical_centers(p: Params, profile: RankProfile) -> BlockVector:
-    """The center y paired with x = 0 to realize a distance profile.
+def canonical_centers(p: Params, profile: RankProfile) -> tuple[Matrix, ...]:
+    """The blocks of the center y paired with x = 0 to realize a distance profile.
 
     The metric is translation invariant, so x = 0 and y with profile[i]
     leading diagonal ones in block i represent every pair with that profile.
     """
-    _check_prime(p.q)
-    if len(profile) != p.ell or any(t < 0 or t > p.mu for t in profile):
-        raise ValueError(f"profile must have {p.ell} parts in 0..{p.mu}")
-    yblocks = []
-    for ti in profile:
-        yblocks.append(
-            tuple(
-                tuple(1 if r == c and r < ti else 0 for c in range(p.eta))
-                for r in range(p.m)
-            )
+    check_prime_field(p.q)
+    p.check_profile(profile)
+    return tuple(
+        tuple(
+            tuple(1 if r == c and r < ti else 0 for c in range(p.eta))
+            for r in range(p.m)
         )
-    return BlockVector(blocks=tuple(yblocks))
+        for ti in profile
+    )
 
 
 def _subtract(a: Matrix, b: Matrix, q: int) -> Matrix:
@@ -125,7 +111,7 @@ def distance_histogram(
     visited: the ranks of its blocks against x and y are summed, never
     combined from per-block counts.
     """
-    _check_prime(p.q)
+    check_prime_field(p.q)
     _check_budget(p.space_size, budget)
     y = canonical_centers(p, profile)
     mats = _all_block_matrices(p)
@@ -136,7 +122,7 @@ def distance_histogram(
     codes = [
         [a * stride + matrix_rank(_subtract(mat, yblock, p.q), p.q)
          for mat, a in zip(mats, dist_x)]
-        for yblock in y.blocks
+        for yblock in y
     ]
     tally = Counter(map(sum, itertools.product(*codes)))
     return [[tally[a * stride + b] for b in range(stride)] for a in range(stride)]
@@ -226,7 +212,7 @@ def els_pair_count_check(
     intersection. Returns (enumerated count, closed form q^{a(k-a)} [k choose a]_q)
     so callers can compare the two.
     """
-    _check_prime(q)
+    check_prime_field(q)
     if not 0 <= a <= k:
         raise ValueError("requires 0 <= a <= k")
     if k > 4:

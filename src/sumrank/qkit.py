@@ -20,21 +20,19 @@ def _check_q(q: int) -> None:
         raise ValueError(f"q must be an integer >= 2, got {q}")
 
 
+def smallest_prime_factor(q: int) -> int:
+    """The least prime dividing q >= 2, by trial division up to sqrt(q)."""
+    return next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+
+
 def is_prime_power(q: int) -> bool:
-    """Whether q = p^k for a prime p and k >= 1, by trial division up to sqrt(q)."""
+    """Whether q = p^k for a prime p and k >= 1."""
     if q < 2:
         return False
-    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    p = smallest_prime_factor(q)
     while q % p == 0:
         q //= p
     return q == 1
-
-
-def binomial(n: int, k: int) -> int:
-    """Ordinary binomial coefficient C(n, k); 0 when k > n."""
-    if n < 0 or k < 0:
-        raise ValueError("binomial arguments must be nonnegative")
-    return math.comb(n, k)
 
 
 @lru_cache(maxsize=None)

@@ -8,6 +8,7 @@ count off the resulting joint histogram.
 from __future__ import annotations
 
 from dataclasses import asdict
+from decimal import Decimal
 from typing import Any
 
 from sumrank import __version__, oracle
@@ -40,7 +41,8 @@ def run_verification(
         p = Params(q=q, m=m, eta=eta, ell=ell)
         cell = asdict(p)
         if p.space_size > budget:
-            skipped.append({"cell": cell, "required_budget": str(p.space_size)})
+            # Decimal prints counts past the interpreter's int-to-str digit limit
+            skipped.append({"cell": cell, "required_budget": str(Decimal(p.space_size))})
             continue
 
         def add(variant: Variant, query: dict[str, Any], value: int, oracle_value: int) -> None:
@@ -77,9 +79,8 @@ def run_verification(
         try:
             oracle_value = oracle.count_rank1_additive(2, 2, r, 2, budget=budget)
         except oracle.OracleBudgetError as exc:
-            skipped.append(
-                {"cell": {"check": LEMMA8.name, "r": r}, "required_budget": str(exc.required)}
-            )
+            skipped.append({"cell": {"check": LEMMA8.name, "r": r},
+                            "required_budget": str(Decimal(exc.required))})
             continue
         records.append(
             make_record(

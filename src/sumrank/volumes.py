@@ -35,6 +35,13 @@ class Params:
         if not is_prime_power(self.q):
             raise ValueError(f"q must be a prime power, got {self.q}")
 
+    def check_profile(self, profile: tuple[int, ...]) -> None:
+        """Raise ValueError unless profile has ell parts, each in 0..mu."""
+        if len(profile) != self.ell:
+            raise ValueError(f"profile length {len(profile)} != ell = {self.ell}")
+        if any(x < 0 or x > self.mu for x in profile):
+            raise ValueError(f"profile parts must lie in 0..mu = {self.mu}")
+
     @property
     def n(self) -> int:
         return self.ell * self.eta
@@ -52,7 +59,6 @@ class Params:
         return self.ell * self.mu
 
 
-@lru_cache(maxsize=None)
 def _weights_up_to(p: Params, top: int) -> tuple[int, ...]:
     """Sphere volumes for radii 0..top, by a convolution truncated at degree top.
 

@@ -1,5 +1,6 @@
 import json
 import math
+from decimal import Decimal
 
 import jsonschema
 import pytest
@@ -162,6 +163,28 @@ def test_verify_budget_skip_exit_3(capsys):
     assert all(s["required_budget"] == "16" for s in report["skipped"])
 
 
+# q^(m*eta*ell) = 7^7488 has 6329 digits, past the default int-to-str limit of 4300
+PARAMS_BIG = ["--q", "7", "--m", "16", "--eta", "18", "--ell", "26"]
+BIG_SPACE = Decimal(7**7488)
+
+
+def test_volume_oracle_refuses_a_space_past_the_digit_limit(capsys):
+    code = main(["volume", *PARAMS_BIG, "--kind", "ball", "--t", "1", "--oracle"])
+    captured = capsys.readouterr()
+    assert code == EXIT_BUDGET
+    assert captured.out == ""
+    assert captured.err == f"error: enumeration needs {BIG_SPACE} candidates, budget is 16777216\n"
+
+
+def test_verify_skips_a_space_past_the_digit_limit(capsys):
+    code, report = run_json(capsys, "verify", "--grid", ",".join(PARAMS_BIG[1::2]))
+    assert code == EXIT_BUDGET
+    assert report["skipped"] == [
+        {"cell": {"q": 7, "m": 16, "eta": 18, "ell": 26}, "required_budget": str(BIG_SPACE)}
+    ]
+    jsonschema.validate(report, REPORT_SCHEMA)
+
+
 def test_json_round_trip_is_byte_identical(capsys):
     _, out = run_cli(capsys, "volume", *PARAMS_221, "--kind", "distribution")
     parsed = json.loads(out)
@@ -185,29 +208,39 @@ def test_text_format(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, line",
     [
-        ["volume", *PARAMS_221, "--kind", "sphere", "--t", "1", "--output", "{missing}/r.json"],
-        ["volume", *PARAMS_221, "--kind", "distribution", "--csv", "{missing}/d.csv"],
-        ["volume", *PARAMS_221, "--kind", "sphere", "--t", "1", "--budget", "-1"],
-        ["volume", "--q", "6", "--m", "2", "--eta", "2", "--ell", "1", "--kind", "sphere",
-         "--t", "1"],
+        (["volume", *PARAMS_221, "--kind", "sphere", "--t", "1", "--output", "{missing}/r.json"],
+         None),
+        (["volume", *PARAMS_221, "--kind", "distribution", "--csv", "{missing}/d.csv"], None),
+        (["volume", *PARAMS_221, "--kind", "sphere", "--t", "1", "--budget", "-1"], None),
+        (["volume", "--q", "6", "--m", "2", "--eta", "2", "--ell", "1", "--kind", "sphere",
+          "--t", "1"], None),
         # the oracle enumerates over F_q itself, so a prime power that is not prime is refused
-        ["volume", "--q", "4", "--m", "1", "--eta", "1", "--ell", "1", "--kind", "ball",
-         "--t", "1", "--oracle"],
-        ["intersect", "--q", "8", "--m", "1", "--eta", "1", "--ell", "1", "--u", "1",
-         "--s", "1", "--profile", "1", "--oracle"],
-        ["verify", "--grid", "2,1,1,1;9,1,1,1"],
+        (["volume", "--q", "4", "--m", "1", "--eta", "1", "--ell", "1", "--kind", "ball",
+          "--t", "1", "--oracle"], None),
+        (["intersect", "--q", "8", "--m", "1", "--eta", "1", "--ell", "1", "--u", "1",
+          "--s", "1", "--profile", "1", "--oracle"], None),
+        (["verify", "--grid", "2,1,1,1;9,1,1,1"], None),
+        (["intersect", *PARAMS_222, "--u", "1", "--s", "1", "--profile", "1"],
+         "error: profile length 1 != ell = 2"),
+        (["intersect", *PARAMS_222, "--u", "1", "--s", "1", "--profile", "3,0"],
+         "error: profile parts must lie in 0..mu = 2"),
+        (["intersect", *PARAMS_222, "--u", "1", "--s", "1", "--profile", "a,b"],
+         "error: profile must be comma-separated integers: 'a,b'"),
     ],
     ids=["output-dir-missing", "csv-dir-missing", "negative-budget", "q-not-prime-power",
-         "volume-oracle-q-composite", "intersect-oracle-q-composite", "verify-q-composite"],
+         "volume-oracle-q-composite", "intersect-oracle-q-composite", "verify-q-composite",
+         "profile-too-short", "profile-part-above-mu", "profile-not-integers"],
 )
-def test_bad_input_is_one_error_line_exit_2(capsys, tmp_path, argv):
+def test_bad_input_is_one_error_line_exit_2(capsys, tmp_path, argv, line):
     code = main([arg.format(missing=tmp_path / "missing") for arg in argv])
     captured = capsys.readouterr()
     assert code == EXIT_BAD_ARGS
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    if line is not None:
+        assert captured.err == line + "\n"
 
 
 @pytest.mark.parametrize("kind", ["sphere", "ball"])

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given
@@ -277,3 +278,41 @@ def test_one_block_exact_intersection_is_the_rank_metric_one(cell, u, s):
     eta, m, q, t = cell
     query = IntersectionQuery(p=Params(q=q, m=m, eta=eta, ell=1), u=u, s=s, tprofile=(t,))
     assert sumrank_intersection_exact(query) == rank_ball_intersection_I(u, s, t, eta, m, q)
+
+
+@given(st.sampled_from([2, 3, 4, 5]), st.integers(1, 5), st.integers(1, 5), st.data())
+def test_theorem2_is_the_exact_count_for_one_block(q, m, eta, data):
+    # Lemma 8's terms against the J-based dynamic program, not against themselves
+    p = Params(q=q, m=m, eta=eta, ell=1)
+    delta = data.draw(st.integers(1, p.mu))
+    query = IntersectionQuery(p=p, u=delta, s=1, tprofile=(delta,))
+    assert theorem2_per_profile(p, (delta,)) == sumrank_intersection_exact(query)
+
+
+def _hamming_intersection(alphabet, length, d, u, s):
+    """Words within Hamming distance u of x and s of y, where d(x, y) = d.
+
+    Where x and y differ, a word agrees with x (i places), with y (j places)
+    or with neither (k places); where they agree, it differs from both in l.
+    """
+    total = 0
+    for i, j in itertools.product(range(d + 1), repeat=2):
+        k = d - i - j
+        for l in range(length - d + 1):
+            if k >= 0 and j + k + l <= u and i + k + l <= s:
+                total += (
+                    math.comb(d, i) * math.comb(d - i, j) * (alphabet - 2) ** k
+                    * math.comb(length - d, l) * (alphabet - 1) ** l
+                )
+    return total
+
+
+@given(st.sampled_from([2, 3, 4, 5]), st.integers(1, 3), st.integers(1, 5), st.data())
+def test_one_column_blocks_give_the_hamming_metric(q, m, ell, data):
+    # at eta = 1 every block is one symbol of F_{q^m}, of rank 0 or 1
+    p = Params(q=q, m=m, eta=1, ell=ell)
+    profile = tuple(data.draw(st.lists(st.integers(0, 1), min_size=ell, max_size=ell)))
+    u, s = data.draw(st.integers(0, ell + 1)), data.draw(st.integers(0, ell + 1))
+    query = IntersectionQuery(p=p, u=u, s=s, tprofile=profile)
+    expected = _hamming_intersection(q**m, ell, sum(profile), u, s)
+    assert sumrank_intersection_exact(query) == expected

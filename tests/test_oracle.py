@@ -7,15 +7,14 @@ from hypothesis import strategies as st
 from sumrank import oracle
 from sumrank.intersections import IntersectionQuery, sumrank_intersection_exact
 from sumrank.oracle import (
-    BlockVector,
     OracleBudgetError,
     canonical_centers,
+    check_prime_field,
     count_intersection,
     count_sphere,
     count_within,
     els_pair_count_check,
     matrix_rank,
-    sumrank_weight,
 )
 from sumrank.qkit import gaussian_binomial
 from sumrank.volumes import Params, ball_volume
@@ -31,11 +30,6 @@ def test_matrix_rank_basics():
     assert matrix_rank(((1, 2), (2, 1)), 3) == 1  # second row = 2 * first mod 3
 
 
-def test_matrix_rank_rejects_composite_q():
-    with pytest.raises(ValueError):
-        matrix_rank(((1, 0), (0, 1)), 4)
-
-
 def test_matrix_rank_transpose_invariant():
     import itertools
 
@@ -45,22 +39,13 @@ def test_matrix_rank_transpose_invariant():
         assert matrix_rank(mat, 3) == matrix_rank(transposed, 3)
 
 
-def test_sumrank_weight():
-    zero = ((0, 0), (0, 0))
-    eye = ((1, 0), (0, 1))
-    rank1 = ((1, 1), (0, 0))
-    assert sumrank_weight(BlockVector(blocks=(zero, zero)), 2) == 0
-    assert sumrank_weight(BlockVector(blocks=(eye, zero)), 2) == 2
-    assert sumrank_weight(BlockVector(blocks=(rank1, rank1)), 2) == 2
-
-
 def test_canonical_centers():
     y = canonical_centers(P222, (2, 1))
-    assert y.blocks == (((1, 0), (0, 1)), ((1, 0), (0, 0)))
+    assert y == (((1, 0), (0, 1)), ((1, 0), (0, 0)))
     # the constructed center realizes its profile against x = 0
     for profile in [(0, 0), (1, 0), (2, 2), (1, 2)]:
         y = canonical_centers(P222, profile)
-        assert tuple(matrix_rank(b, 2) for b in y.blocks) == profile
+        assert tuple(matrix_rank(b, 2) for b in y) == profile
 
 
 def test_count_sphere_examples():
@@ -99,6 +84,17 @@ def test_budget_refusal():
 def test_composite_q_rejected():
     with pytest.raises(ValueError):
         count_sphere(Params(q=4, m=2, eta=2, ell=1), 1)
+
+
+def test_prime_field_check_accepts_exactly_the_primes():
+    accepted = []
+    for q in range(30):
+        try:
+            check_prime_field(q)
+            accepted.append(q)
+        except ValueError as exc:
+            assert str(exc) == f"oracle requires a prime field size, got {q}"
+    assert accepted == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 def test_els_pair_count_examples():

@@ -9,23 +9,11 @@ import pytest
 import sumrank
 from sumrank import intersections, qkit
 from sumrank.qkit import (
-    binomial,
     gaussian_binomial,
     is_prime_power,
     num_matrices_rank,
     q_krawtchouk,
 )
-
-
-def test_binomial_values():
-    assert binomial(5, 2) == 10
-    assert binomial(3, 0) == 1
-    assert binomial(2, 3) == 0
-
-
-def test_binomial_rejects_negative():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
 
 
 def test_gaussian_binomial_values():

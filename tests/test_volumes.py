@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sumrank import volumes
 from sumrank.qkit import num_matrices_rank
 from sumrank.volumes import (
     Params,
@@ -32,6 +31,16 @@ def test_params_validation():
         Params(q=6, m=2, eta=2, ell=1)  # not a prime power: no field has 6 elements
     with pytest.raises(ValueError):
         Params(q=2.5, m=2, eta=2, ell=1)
+
+
+def test_check_profile():
+    p = Params(q=2, m=3, eta=2, ell=2)
+    p.check_profile((0, 2))
+    with pytest.raises(ValueError, match=r"^profile length 3 != ell = 2$"):
+        p.check_profile((1, 1, 0))
+    for bad in [(3, 0), (0, -1)]:
+        with pytest.raises(ValueError, match=r"^profile parts must lie in 0\.\.mu = 2$"):
+            p.check_profile(bad)
 
 
 def test_sphere_volume_examples():
@@ -121,7 +130,6 @@ def _radius_sequences(draw):
 def test_truncated_volumes_agree_with_the_distribution_in_any_order(case):
     p, asks, tabulate_at = case
     weight_distribution.cache_clear()
-    volumes._weights_up_to.cache_clear()
     answers = []
     for i, (kind, t) in enumerate(asks):
         if i == tabulate_at:
