@@ -6,6 +6,7 @@ prime fields as ground truth for every closed-form formula.
 """
 
 from sumrank.qkit import (
+    InputError,
     gaussian_binomial,
     num_matrices_rank,
     q_krawtchouk,
@@ -48,6 +49,7 @@ __all__ = [
     "enumerate_bounded",
     "enumerate_uniform",
     "gaussian_binomial",
+    "InputError",
     "InternalInconsistencyError",
     "IntersectionQuery",
     "num_matrices_rank",

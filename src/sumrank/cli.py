@@ -13,6 +13,7 @@ from typing import Any, Optional
 
 from sumrank import __version__, oracle, volumes
 from sumrank.compositions import enumerate_uniform
+from sumrank.qkit import InputError
 from sumrank.report import make_record, make_report, report_to_json, report_to_text
 from sumrank.variants import BALL, EXACT, QUESTIONS, SPHERE
 from sumrank.verify import EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK, run_verification
@@ -74,47 +75,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class ArgumentProblem(Exception):
-    pass
-
-
-def _params_from(args: argparse.Namespace) -> Params:
-    try:
-        return Params(q=args.q, m=args.m, eta=args.eta, ell=args.ell)
-    except ValueError as exc:
-        raise ArgumentProblem(str(exc)) from exc
-
-
-def _check_oracle_field(p: Params) -> None:
-    # Params takes any prime power, but the oracle enumerates over F_q itself
-    try:
-        oracle.check_prime_field(p.q)
-    except ValueError as exc:
-        raise ArgumentProblem(str(exc)) from exc
-
-
 def _parse_profile(text: str, p: Params) -> tuple[int, ...]:
     try:
         profile = tuple(int(x) for x in text.split(","))
     except ValueError as exc:
-        raise ArgumentProblem(f"profile must be comma-separated integers: {text!r}") from exc
-    try:
-        p.check_profile(profile)
-    except ValueError as exc:
-        raise ArgumentProblem(str(exc)) from exc
+        raise InputError(f"profile must be comma-separated integers: {text!r}") from exc
+    p.check_profile(profile)
     return profile
 
 
 def cmd_volume(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
-    p = _params_from(args)
+    p = Params(q=args.q, m=args.m, eta=args.eta, ell=args.ell)
     if args.kind in VOLUMES:
         if args.t is None:
-            raise ArgumentProblem(f"--t is required for --kind {args.kind}")
+            raise InputError(f"--t is required for --kind {args.kind}")
         if args.t < 0:
-            raise ArgumentProblem("radius t must be nonnegative")
+            raise InputError("radius t must be nonnegative")
+        if args.csv:
+            raise InputError("--csv requires --kind distribution")
     weights = None
     if args.oracle:
-        _check_oracle_field(p)
         weights = oracle.count_weights(p, budget=args.budget)
     if args.kind in VOLUMES:
         variant = VOLUMES[args.kind]
@@ -140,28 +120,30 @@ def cmd_volume(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
                     for t, value in enumerate(dist):
                         fh.write(f"{t},{value}\n")
             except OSError as exc:
-                raise ArgumentProblem(f"cannot write --csv: {exc}") from exc
+                raise InputError(f"cannot write --csv: {exc}") from exc
     return make_report(asdict(p), records, __version__), EXIT_OK
 
 
 def cmd_intersect(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
-    p = _params_from(args)
+    p = Params(q=args.q, m=args.m, eta=args.eta, ell=args.ell)
     if args.u < 0 or args.s < 0:
-        raise ArgumentProblem("radii u and s must be nonnegative")
+        raise InputError("radii u and s must be nonnegative")
     records: list[dict[str, Any]] = []
 
-    if args.profile is not None:
-        profiles = [_parse_profile(args.profile, p)]
-    elif args.t is not None:
+    if args.profile is None and args.t is None:
+        raise InputError("either --profile or --t is required")
+    profiles = [] if args.profile is None else [_parse_profile(args.profile, p)]
+    if args.t is not None:
         if args.t < 0 or args.t > p.max_weight:
-            raise ArgumentProblem(f"t must lie in 0..{p.max_weight}")
-        profiles = list(enumerate_uniform(args.t, p.ell, p.mu))
-    else:
-        raise ArgumentProblem("either --profile or --t is required")
+            raise InputError(f"t must lie in 0..{p.max_weight}")
+        if not profiles:
+            profiles = list(enumerate_uniform(args.t, p.ell, p.mu))
+        elif sum(profiles[0]) != args.t:
+            raise InputError(f"--profile sums to {sum(profiles[0])} but --t is {args.t}")
 
     question = QUESTIONS[args.variant]
     if args.t is None and all(variant.literal for variant in question.variants):
-        raise ArgumentProblem(f"--variant {args.variant} requires a scalar --t")
+        raise InputError(f"--variant {args.variant} requires a scalar --t")
     for variant in question.variants:
         if variant.literal:
             # a literal reading answers the scalar distance --t, once
@@ -171,11 +153,10 @@ def cmd_intersect(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         for profile, delta in asked:
             radii = question.radii(args.u, args.s, delta)
             if radii is None:
-                raise ArgumentProblem(question.condition)
+                raise InputError(question.condition)
             u, s = radii
             oracle_value = None
             if args.oracle and profile is not None:
-                _check_oracle_field(p)
                 oracle_value = oracle.count_intersection(p, u, s, profile, budget=args.budget)
             value = variant.formula(p, u, s, delta if profile is None else profile)
             query = variant.query(u, s, delta, profile, harness=False)
@@ -194,8 +175,8 @@ def _parse_grid(text: str) -> list[tuple[int, int, int, int]]:
             q, m, eta, ell = (int(x) for x in chunk.split(","))
             p = Params(q=q, m=m, eta=eta, ell=ell)
         except ValueError as exc:
-            raise ArgumentProblem(f"bad grid cell {chunk!r}: {exc}") from exc
-        _check_oracle_field(p)  # every verify cell is checked by the oracle
+            raise InputError(f"bad grid cell {chunk!r}: {exc}") from exc
+        oracle.check_prime_field(q)  # every verify cell is checked by the oracle
         cells.append((q, m, eta, ell))
     return cells
 
@@ -210,9 +191,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     handlers = {"volume": cmd_volume, "intersect": cmd_intersect, "verify": cmd_verify}
     try:
         if args.budget < 0:
-            raise ArgumentProblem("--budget must be nonnegative")
+            raise InputError("--budget must be nonnegative")
         report, code = handlers[args.command](args)
-    except ArgumentProblem as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
     except oracle.OracleBudgetError as exc:

@@ -11,13 +11,15 @@ from __future__ import annotations
 import math
 from typing import Iterator, Sequence
 
+from sumrank.qkit import InputError
+
 RankProfile = tuple[int, ...]
 
 
 def enumerate_bounded(t: int, bounds: Sequence[int]) -> Iterator[RankProfile]:
     """Yield every composition of t with part i <= bounds[i], lexicographically."""
     if t < 0:
-        raise ValueError("total must be nonnegative")
+        raise InputError("total must be nonnegative")
     bounds = tuple(bounds)
     ell = len(bounds)
     # suffix[i] = max total achievable by parts i..ell-1
@@ -42,7 +44,7 @@ def enumerate_bounded(t: int, bounds: Sequence[int]) -> Iterator[RankProfile]:
 def enumerate_uniform(t: int, ell: int, mu: int) -> Iterator[RankProfile]:
     """Yield every composition of t into ell parts each <= mu, lexicographically."""
     if ell < 1:
-        raise ValueError("number of parts must be positive")
+        raise InputError("number of parts must be positive")
     return enumerate_bounded(t, (mu,) * ell)
 
 
@@ -54,9 +56,9 @@ def count_uniform(t: int, ell: int, mu: int) -> int:
     where a binomial with negative top contributes 0.
     """
     if t < 0 or mu < 0:
-        raise ValueError("arguments must be nonnegative")
+        raise InputError("arguments must be nonnegative")
     if ell < 1:
-        raise ValueError("number of parts must be positive")
+        raise InputError("number of parts must be positive")
     total = 0
     for i in range(t // (mu + 1) + 1):
         top = t + ell - 1 - (mu + 1) * i
@@ -70,5 +72,5 @@ def count_uniform(t: int, ell: int, mu: int) -> int:
 def count_upper_bound(t: int, ell: int) -> int:
     """Stars-and-bars bound C(t+ell-1, ell-1) on the bounded count."""
     if t < 0 or ell < 1:
-        raise ValueError("invalid arguments")
+        raise InputError("invalid arguments")
     return math.comb(t + ell - 1, ell - 1)

@@ -19,7 +19,7 @@ from math import prod
 
 from sumrank.compositions import RankProfile, enumerate_bounded, enumerate_uniform
 from sumrank.qkit import InternalInconsistencyError  # also raised here; kept importable
-from sumrank.qkit import gaussian_binomial, num_matrices_rank, q_krawtchouk
+from sumrank.qkit import InputError, gaussian_binomial, num_matrices_rank, q_krawtchouk
 from sumrank.volumes import Params
 
 
@@ -38,10 +38,10 @@ def rank_sphere_intersection_J(u: int, s: int, t: int, n: int, m: int, q: int) -
     above min(m, n)) before the Krawtchouk sum is evaluated.
     """
     if min(u, s, t) < 0:
-        raise ValueError("radii and distance must be nonnegative")
+        raise InputError("radii and distance must be nonnegative")
     mu = min(m, n)
     if t > mu:
-        raise ValueError(f"center distance {t} exceeds min(m, n) = {mu}")
+        raise InputError(f"center distance {t} exceeds min(m, n) = {mu}")
     if u > mu or s > mu or u + s < t or abs(u - s) > t:
         return 0
     numerator = sum(
@@ -83,7 +83,7 @@ class IntersectionQuery:
 
     def __post_init__(self) -> None:
         if self.u < 0 or self.s < 0:
-            raise ValueError("radii must be nonnegative")
+            raise InputError("radii must be nonnegative")
         self.p.check_profile(self.tprofile)
 
 
@@ -126,7 +126,7 @@ def theorem1_literal(p: Params, u: int, s: int, t: int) -> int:
     into ell parts bounded by mu. Requires u + s >= t.
     """
     if u + s < t:
-        raise ValueError("requires u + s >= t")
+        raise InputError("requires u + s >= t")
     total = 0
     for uvec in enumerate_uniform(u, p.ell, p.mu):
         for svec in enumerate_uniform(s, p.ell, p.mu):
@@ -145,7 +145,7 @@ def rank1_additive_pairs(n: int, m: int, r: int, q: int) -> int:
     sphere, at r = min(m, n) = m = n it is 0.
     """
     if r < 0 or r > min(m, n):
-        raise ValueError("rank r must lie in 0..min(m, n)")
+        raise InputError("rank r must lie in 0..min(m, n)")
     return _exact_div((q**n - q**r) * (q**m - q**r), q - 1, "rank1_additive_pairs")
 
 
@@ -164,7 +164,7 @@ def theorem2_per_profile(p: Params, dprofile: RankProfile) -> int:
     """
     p.check_profile(dprofile)
     if sum(dprofile) == 0:
-        raise ValueError("centers coincide; requires delta >= 1")
+        raise InputError("centers coincide; requires delta >= 1")
     return 1 + rank1_additive_pairs(p.n, p.m, 0, p.q) - sum(
         rank1_additive_pairs(p.eta, p.m, di, p.q) for di in dprofile
     )
@@ -177,7 +177,7 @@ def theorem2_literal(p: Params, delta: int) -> int:
     the one realized by a concrete center pair.
     """
     if not 1 <= delta <= p.max_weight:
-        raise ValueError(f"delta must lie in 1..{p.max_weight}")
+        raise InputError(f"delta must lie in 1..{p.max_weight}")
     return 1 + rank1_additive_pairs(p.n, p.m, 0, p.q) - sum(
         rank1_additive_pairs(p.eta, p.m, di, p.q)
         for dvec in enumerate_uniform(delta, p.ell, p.mu)
@@ -194,9 +194,9 @@ def theorem3_per_profile(p: Params, gprofile: RankProfile, dprofile: RankProfile
     """
     p.check_profile(dprofile)
     if len(gprofile) != p.ell:
-        raise ValueError("profile length mismatch")
+        raise InputError("profile length mismatch")
     if any(gi < 0 or gi > di for gi, di in zip(gprofile, dprofile)):
-        raise ValueError("requires 0 <= gamma_i <= delta_i for every block")
+        raise InputError("requires 0 <= gamma_i <= delta_i for every block")
     return prod(_direct_sum_pairs(di, gi, p.q) for gi, di in zip(gprofile, dprofile))
 
 
@@ -207,7 +207,7 @@ def theorem3_aggregate(p: Params, gamma: int, dprofile: RankProfile) -> int:
     """
     p.check_profile(dprofile)
     if not 0 <= gamma <= sum(dprofile):
-        raise ValueError("requires 0 <= gamma <= delta")
+        raise InputError("requires 0 <= gamma <= delta")
     return sum(
         theorem3_per_profile(p, gvec, dprofile)
         for gvec in enumerate_bounded(gamma, dprofile)
@@ -221,7 +221,7 @@ def theorem3_literal(p: Params, gamma: int, delta: int) -> int:
     sum_i q^{g_i (d_i - g_i)} [d_i choose g_i]_q  (sum over blocks, not product).
     """
     if not 0 <= gamma <= delta:
-        raise ValueError("requires 0 <= gamma <= delta")
+        raise InputError("requires 0 <= gamma <= delta")
     total = 0
     for dvec in enumerate_uniform(delta, p.ell, p.mu):
         for gvec in enumerate_bounded(gamma, dvec):

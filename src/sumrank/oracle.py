@@ -14,7 +14,7 @@ from collections import Counter
 from decimal import Decimal
 
 from sumrank.compositions import RankProfile
-from sumrank.qkit import gaussian_binomial, smallest_prime_factor
+from sumrank.qkit import InputError, gaussian_binomial, smallest_prime_factor
 from sumrank.volumes import Params
 
 DEFAULT_BUDGET = 2**24
@@ -35,9 +35,9 @@ class OracleBudgetError(Exception):
 
 
 def check_prime_field(q: int) -> None:
-    """Raise ValueError unless q is a prime: the oracle computes over F_q as integers mod q."""
+    """Raise InputError unless q is a prime: the oracle computes over F_q as integers mod q."""
     if q < 2 or smallest_prime_factor(q) != q:
-        raise ValueError(f"oracle requires a prime field size, got {q}")
+        raise InputError(f"oracle requires a prime field size, got {q}")
 
 
 def _check_budget(required: int, budget: int) -> None:
@@ -75,7 +75,6 @@ def canonical_centers(p: Params, profile: RankProfile) -> tuple[Matrix, ...]:
     The metric is translation invariant, so x = 0 and y with profile[i]
     leading diagonal ones in block i represent every pair with that profile.
     """
-    check_prime_field(p.q)
     p.check_profile(profile)
     return tuple(
         tuple(
@@ -169,7 +168,7 @@ def count_rank1_additive(
     """
     p = Params(q=q, m=m, eta=n, ell=1)
     if r > p.mu:
-        raise ValueError(f"rank {r} exceeds min(m, n) = {p.mu}")
+        raise InputError(f"rank {r} exceeds min(m, n) = {p.mu}")
     # y ranges over the space, x is the profile's center: H[wt(y)][wt(x - y)]
     hist = distance_histogram(p, (r,), budget)
     return hist[1][r + 1] if r < p.mu else 0
@@ -214,9 +213,9 @@ def els_pair_count_check(
     """
     check_prime_field(q)
     if not 0 <= a <= k:
-        raise ValueError("requires 0 <= a <= k")
+        raise InputError("requires 0 <= a <= k")
     if k > 4:
-        raise ValueError("ambient dimension capped at 4 for the subspace oracle")
+        raise InputError("ambient dimension capped at 4 for the subspace oracle")
     _check_budget(q**k, budget)
     zero = tuple(0 for _ in range(k))
     subspaces_a = _all_subspaces(k, a, q)

@@ -11,13 +11,20 @@ import math
 from functools import lru_cache
 
 
+class InputError(ValueError):
+    """Parameters outside a count's domain: the one way the library refuses input.
+
+    Any other exception out of sumrank is a fault, not a refusal.
+    """
+
+
 class InternalInconsistencyError(Exception):
     """A count formula produced a non-integral or negative value."""
 
 
 def _check_q(q: int) -> None:
     if q < 2:
-        raise ValueError(f"q must be an integer >= 2, got {q}")
+        raise InputError(f"q must be an integer >= 2, got {q}")
 
 
 def smallest_prime_factor(q: int) -> int:
@@ -45,7 +52,7 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     """
     _check_q(q)
     if n < 0 or k < 0:
-        raise ValueError("gaussian_binomial arguments must be nonnegative")
+        raise InputError("gaussian_binomial arguments must be nonnegative")
     if k > n:
         return 0
     result = 1
@@ -65,7 +72,7 @@ def num_matrices_rank(n: int, m: int, t: int, q: int) -> int:
     """
     _check_q(q)
     if t < 0:
-        raise ValueError("rank must be nonnegative")
+        raise InputError("rank must be nonnegative")
     if t > min(m, n):
         return 0
     count = gaussian_binomial(n, t, q)
@@ -85,7 +92,7 @@ def q_krawtchouk(j: int, i: int, n: int, m: int, q: int) -> int:
     """
     _check_q(q)
     if i > n or j > n:
-        raise ValueError("q_krawtchouk requires i <= n and j <= n")
+        raise InputError("q_krawtchouk requires i <= n and j <= n")
     total = 0
     for l in range(j + 1):
         term = (

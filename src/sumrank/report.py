@@ -11,6 +11,7 @@ import datetime
 import json
 from typing import Any, Optional
 
+from sumrank.qkit import InputError
 from sumrank.variants import VARIANTS
 
 FORMULA_VARIANTS = tuple(variant.name for variant in VARIANTS)
@@ -55,7 +56,7 @@ def make_record(
     oracle_value: Optional[int] = None,
 ) -> dict[str, Any]:
     if formula_variant not in FORMULA_VARIANTS:
-        raise ValueError(f"unknown formula variant {formula_variant!r}")
+        raise InputError(f"unknown formula variant {formula_variant!r}")
     match = "not-run"
     if oracle_value is not None:
         match = "yes" if value == oracle_value else "no"

@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import prod
 
 from sumrank.compositions import enumerate_uniform
-from sumrank.qkit import is_prime_power, num_matrices_rank
+from sumrank.qkit import InputError, is_prime_power, num_matrices_rank
 
 
 @dataclass(frozen=True)
@@ -31,16 +31,16 @@ class Params:
     def __post_init__(self) -> None:
         for name in ("q", "m", "eta", "ell"):
             if not isinstance(getattr(self, name), int) or getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive int, got {getattr(self, name)!r}")
+                raise InputError(f"{name} must be a positive int, got {getattr(self, name)!r}")
         if not is_prime_power(self.q):
-            raise ValueError(f"q must be a prime power, got {self.q}")
+            raise InputError(f"q must be a prime power, got {self.q}")
 
     def check_profile(self, profile: tuple[int, ...]) -> None:
-        """Raise ValueError unless profile has ell parts, each in 0..mu."""
+        """Raise InputError unless profile has ell parts, each in 0..mu."""
         if len(profile) != self.ell:
-            raise ValueError(f"profile length {len(profile)} != ell = {self.ell}")
+            raise InputError(f"profile length {len(profile)} != ell = {self.ell}")
         if any(x < 0 or x > self.mu for x in profile):
-            raise ValueError(f"profile parts must lie in 0..mu = {self.mu}")
+            raise InputError(f"profile parts must lie in 0..mu = {self.mu}")
 
     @property
     def n(self) -> int:
@@ -90,7 +90,7 @@ def weight_distribution(p: Params) -> tuple[int, ...]:
 def sphere_volume(p: Params, t: int) -> int:
     """Number of vectors at sum-rank weight exactly t; 0 beyond ell*mu."""
     if t < 0:
-        raise ValueError("radius must be nonnegative")
+        raise InputError("radius must be nonnegative")
     if t > p.max_weight:
         return 0
     return _weights_up_to(p, t)[t]
@@ -103,7 +103,7 @@ def sphere_volume_by_profiles(p: Params, t: int) -> int:
     for cross-checking.
     """
     if t < 0:
-        raise ValueError("radius must be nonnegative")
+        raise InputError("radius must be nonnegative")
     return sum(
         prod(num_matrices_rank(p.eta, p.m, ti, p.q) for ti in profile)
         for profile in enumerate_uniform(t, p.ell, p.mu)
@@ -116,5 +116,5 @@ def ball_volume(p: Params, t: int) -> int:
     Radii beyond ell*mu clamp to the whole space q^{mn}.
     """
     if t < 0:
-        raise ValueError("radius must be nonnegative")
+        raise InputError("radius must be nonnegative")
     return sum(_weights_up_to(p, min(t, p.max_weight)))

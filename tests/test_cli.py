@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import shlex
 from decimal import Decimal
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumrank.cli import (
     EXIT_BAD_ARGS,
@@ -11,6 +17,7 @@ from sumrank.cli import (
     EXIT_OK,
     main,
 )
+from sumrank import intersections
 from sumrank.qkit import num_matrices_rank
 from sumrank.report import REPORT_SCHEMA, report_to_json
 
@@ -228,10 +235,25 @@ def test_text_format(capsys):
          "error: profile parts must lie in 0..mu = 2"),
         (["intersect", *PARAMS_222, "--u", "1", "--s", "1", "--profile", "a,b"],
          "error: profile must be comma-separated integers: 'a,b'"),
+        (["intersect", *PARAMS_222, "--u", "1", "--s", "1", "--variant", "exact",
+          "--profile", "1,0", "--t", "3"], "error: --profile sums to 1 but --t is 3"),
+        (["intersect", *PARAMS_222, "--u", "1", "--s", "1", "--variant", "thm3",
+          "--profile", "1,0", "--t", "99"], "error: t must lie in 0..4"),
+        (["intersect", *PARAMS_222, "--u", "1", "--s", "99", "--variant", "thm1-literal",
+          "--profile", "1,0", "--t", "99"], "error: t must lie in 0..4"),
+        # the formulas refuse these too, but --t is checked before any formula runs
+        (["intersect", *PARAMS_222, "--u", "0", "--s", "0", "--variant", "thm2",
+          "--profile", "1,1", "--t", "5"], "error: t must lie in 0..4"),
+        (["intersect", *PARAMS_222, "--u", "0", "--s", "0", "--variant", "thm1-literal",
+          "--profile", "1,1", "--t", "-1"], "error: t must lie in 0..4"),
+        (["volume", *PARAMS_221, "--kind", "ball", "--t", "1", "--csv", "{missing}/x.csv"],
+         "error: --csv requires --kind distribution"),
     ],
     ids=["output-dir-missing", "csv-dir-missing", "negative-budget", "q-not-prime-power",
          "volume-oracle-q-composite", "intersect-oracle-q-composite", "verify-q-composite",
-         "profile-too-short", "profile-part-above-mu", "profile-not-integers"],
+         "profile-too-short", "profile-part-above-mu", "profile-not-integers",
+         "profile-t-disagree", "profile-t-above-max-thm3", "profile-t-above-max-thm1",
+         "profile-t-above-max-thm2", "profile-t-negative-thm1", "csv-without-distribution"],
 )
 def test_bad_input_is_one_error_line_exit_2(capsys, tmp_path, argv, line):
     code = main([arg.format(missing=tmp_path / "missing") for arg in argv])
@@ -259,3 +281,53 @@ def test_small_radius_at_a_large_space_matches_the_closed_forms(capsys, kind):
     assert code == EXIT_OK
     expected = spheres[3] if kind == "sphere" else sum(spheres)
     assert report["records"][0]["value"] == str(expected)
+
+
+def test_a_plain_value_error_in_a_formula_is_a_fault(monkeypatch):
+    def broken(p, u, s, t):
+        raise ValueError("formula fault")
+
+    monkeypatch.setattr(intersections, "theorem1_literal", broken)
+    with pytest.raises(ValueError, match="^formula fault$") as exc:
+        main(["intersect", *PARAMS_222, "--u", "1", "--s", "1", "--t", "2",
+              "--variant", "thm1-literal"])
+    assert type(exc.value) is ValueError
+
+
+def _opt(name, values):
+    # an option and its value, or nothing when None is drawn
+    return st.sampled_from(values).map(lambda v: [] if v is None else [name, str(v)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(
+        _opt("--variant", ["exact", "thm1-literal", "thm2", "thm3"]),
+        _opt("--profile", [None, "1,1", "0,0", "2,0"]),
+        _opt("--t", [None, -1, 0, 1, 2, 3, 4, 5, 99]),
+        _opt("--u", [-1, 0, 1, 3, 9]),
+        _opt("--s", [-1, 0, 2, 9]),
+    )
+)
+def test_intersect_answers_or_refuses_with_one_error_line(options):
+    argv = ["intersect", *PARAMS_222] + [arg for option in options for arg in option]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_BAD_ARGS)
+    if code == EXIT_BAD_ARGS:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def test_readme_cli_examples_exit_0(capsys, tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n", 1)[1].split("```")[1]
+    examples = [shlex.split(line, comments=True)[1:]
+                for line in block.splitlines() if line.startswith("sumrank ")]
+    assert examples
+    for argv in examples:
+        if "--csv" in argv:
+            at = argv.index("--csv") + 1
+            argv[at] = str(tmp_path / argv[at])
+        assert main(argv) == EXIT_OK, " ".join(argv)

@@ -114,3 +114,21 @@ def test_package_source_has_no_assert():
     for path in Path(sumrank.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text())
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
+
+
+def test_input_error_is_the_one_refusal_class():
+    assert issubclass(qkit.InputError, ValueError)
+    assert sumrank.InputError is qkit.InputError
+
+
+def test_package_source_raises_no_plain_value_error():
+    # a refusal is an InputError; a plain ValueError out of sumrank is a fault
+    for path in Path(sumrank.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        raised = {
+            node.exc.func.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and isinstance(node.exc.func, ast.Name)
+        }
+        assert "ValueError" not in raised, path.name
