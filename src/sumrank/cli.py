@@ -14,7 +14,7 @@ from typing import Any, Optional
 from sumrank import __version__, oracle, volumes
 from sumrank.compositions import enumerate_uniform
 from sumrank.qkit import InputError
-from sumrank.report import make_record, make_report, report_to_json, report_to_text
+from sumrank.report import make_record, make_report, report_to_csv, report_to_json, report_to_text
 from sumrank.variants import BALL, EXACT, QUESTIONS, SPHERE
 from sumrank.verify import EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK, run_verification
 from sumrank.volumes import Params
@@ -33,8 +33,8 @@ def _add_params_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--ell", type=int, required=True, help="number of blocks")
 
 
-def _add_common_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("json", "text"), default="json")
+def _add_common_args(sub: argparse.ArgumentParser, *extra_formats: str) -> None:
+    sub.add_argument("--format", choices=("json", "text", *extra_formats), default="json")
     sub.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET,
                      help="oracle enumeration budget (candidate count)")
     sub.add_argument("--output", help="write the report to this file instead of stdout")
@@ -52,10 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params_args(vol)
     vol.add_argument("--kind", choices=(*VOLUMES, "distribution"), required=True)
     vol.add_argument("--t", type=int, help="radius (required for sphere/ball)")
-    vol.add_argument("--csv", help="with --kind distribution, also write t,count CSV")
     vol.add_argument("--oracle", action="store_true",
                      help="cross-check against brute-force enumeration")
-    _add_common_args(vol)
+    _add_common_args(vol, "csv")
 
     inter = subs.add_parser("intersect", help="intersection volume of two balls")
     _add_params_args(inter)
@@ -91,8 +90,10 @@ def cmd_volume(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
             raise InputError(f"--t is required for --kind {args.kind}")
         if args.t < 0:
             raise InputError("radius t must be nonnegative")
-        if args.csv:
-            raise InputError("--csv requires --kind distribution")
+    elif args.t is not None:
+        raise InputError("--kind distribution takes no --t")
+    if args.oracle and args.format == "csv":
+        raise InputError("--format csv has no oracle column")
     weights = None
     if args.oracle:
         weights = oracle.count_weights(p, budget=args.budget)
@@ -103,24 +104,15 @@ def cmd_volume(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
             weights[args.t if variant is SPHERE else 0 : args.t + 1]
         )
         records = [
-            make_record({"kind": args.kind, "t": args.t}, variant.name,
+            make_record({"kind": args.kind, "t": args.t}, variant,
                         variant.formula(p, args.t), oracle_value)
         ]
     else:
-        dist = volumes.weight_distribution(p)
         records = [
-            make_record({"kind": "distribution", "t": t}, SPHERE.name, value,
+            make_record({"kind": "distribution", "t": t}, SPHERE, value,
                         None if weights is None else weights[t])
-            for t, value in enumerate(dist)
+            for t, value in enumerate(volumes.weight_distribution(p))
         ]
-        if args.csv:
-            try:
-                with open(args.csv, "w") as fh:
-                    fh.write("t,count\n")
-                    for t, value in enumerate(dist):
-                        fh.write(f"{t},{value}\n")
-            except OSError as exc:
-                raise InputError(f"cannot write --csv: {exc}") from exc
     return make_report(asdict(p), records, __version__), EXIT_OK
 
 
@@ -160,7 +152,7 @@ def cmd_intersect(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
                 oracle_value = oracle.count_intersection(p, u, s, profile, budget=args.budget)
             value = variant.formula(p, u, s, delta if profile is None else profile)
             query = variant.query(u, s, delta, profile, harness=False)
-            records.append(make_record(query, variant.name, value, oracle_value))
+            records.append(make_record(query, variant, value, oracle_value))
     return make_report(asdict(p), records, __version__), EXIT_OK
 
 
@@ -199,16 +191,20 @@ def main(argv: Optional[list[str]] = None) -> int:
     except oracle.OracleBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    rendered = report_to_json(report) if args.format == "json" else report_to_text(report)
+    # built on each call, so a renderer rebound after import (by a tracer) is the one called
+    render = {"json": report_to_json, "text": report_to_text, "csv": report_to_csv}
+    rendered = render[args.format](report)
+    if not rendered.endswith("\n"):
+        rendered += "\n"
     if args.output:
         try:
             with open(args.output, "w") as fh:
-                fh.write(rendered if rendered.endswith("\n") else rendered + "\n")
+                fh.write(rendered)
         except OSError as exc:
             print(f"error: cannot write --output: {exc}", file=sys.stderr)
             return EXIT_BAD_ARGS
     else:
-        print(rendered, end="" if rendered.endswith("\n") else "\n")
+        print(rendered, end="")
     return code
 
 

@@ -11,10 +11,7 @@ import datetime
 import json
 from typing import Any, Optional
 
-from sumrank.qkit import InputError
-from sumrank.variants import VARIANTS
-
-FORMULA_VARIANTS = tuple(variant.name for variant in VARIANTS)
+from sumrank.variants import VARIANTS, Variant
 
 REPORT_SCHEMA: dict[str, Any] = {
     "type": "object",
@@ -31,7 +28,7 @@ REPORT_SCHEMA: dict[str, Any] = {
                 "required": ["query", "formula_variant", "value", "oracle_value", "match"],
                 "properties": {
                     "query": {"type": "object"},
-                    "formula_variant": {"enum": list(FORMULA_VARIANTS)},
+                    "formula_variant": {"enum": [variant.name for variant in VARIANTS]},
                     "value": {"type": "string", "pattern": "^-?[0-9]+$"},
                     "oracle_value": {
                         "type": ["string", "null"],
@@ -51,18 +48,16 @@ REPORT_SCHEMA: dict[str, Any] = {
 
 def make_record(
     query: dict[str, Any],
-    formula_variant: str,
+    variant: Variant,
     value: int,
     oracle_value: Optional[int] = None,
 ) -> dict[str, Any]:
-    if formula_variant not in FORMULA_VARIANTS:
-        raise InputError(f"unknown formula variant {formula_variant!r}")
     match = "not-run"
     if oracle_value is not None:
         match = "yes" if value == oracle_value else "no"
     return {
         "query": query,
-        "formula_variant": formula_variant,
+        "formula_variant": variant.name,
         "value": str(value),
         "oracle_value": None if oracle_value is None else str(oracle_value),
         "match": match,
@@ -114,3 +109,8 @@ def report_to_text(report: dict[str, Any]) -> str:
             "summary: " + " ".join(f"{k}={v}" for k, v in report["summary"].items())
         )
     return "\n".join(lines) + "\n"
+
+
+def report_to_csv(report: dict[str, Any]) -> str:
+    """A volume report's `t,count` table, one line per record."""
+    return "t,count\n" + "".join(f"{r['query']['t']},{r['value']}\n" for r in report["records"])

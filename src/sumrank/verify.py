@@ -46,7 +46,7 @@ def run_verification(
             continue
 
         def add(variant: Variant, query: dict[str, Any], value: int, oracle_value: int) -> None:
-            record = make_record({**cell, **query}, variant.name, value, oracle_value)
+            record = make_record({**cell, **query}, variant, value, oracle_value)
             (records if variant.required else discrepancies).append(record)
 
         profiles = [
@@ -82,14 +82,8 @@ def run_verification(
             skipped.append({"cell": {"check": LEMMA8.name, "r": r},
                             "required_budget": str(Decimal(exc.required))})
             continue
-        records.append(
-            make_record(
-                {"n": 2, "m": 2, "q": 2, "r": r},
-                LEMMA8.name,
-                LEMMA8.formula(2, 2, r, 2),
-                oracle_value,
-            )
-        )
+        records.append(make_record({"n": 2, "m": 2, "q": 2, "r": r}, LEMMA8,
+                                   LEMMA8.formula(2, 2, r, 2), oracle_value))
 
     failures = sum(1 for rec in records if rec["match"] == "no")
     mismatched_findings = sum(1 for rec in discrepancies if rec["match"] == "no")

@@ -57,11 +57,37 @@ def test_volume_distribution(capsys):
 
 def test_volume_distribution_csv(capsys, tmp_path):
     csv_path = tmp_path / "dist.csv"
-    code, _ = run_json(
-        capsys, "volume", *PARAMS_221, "--kind", "distribution", "--csv", str(csv_path)
-    )
+    code, out = run_cli(capsys, "volume", *PARAMS_221, "--kind", "distribution",
+                        "--format", "csv", "--output", str(csv_path))
     assert code == EXIT_OK
+    assert out == ""
     assert csv_path.read_text() == "t,count\n0,1\n1,9\n2,6\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([2, 3, 4]),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.sampled_from(["sphere", "ball", "distribution"]),
+    st.integers(0, 10),
+)
+def test_csv_rows_are_the_json_records(q, m, eta, ell, kind, t):
+    argv = ["volume", "--q", str(q), "--m", str(m), "--eta", str(eta), "--ell", str(ell),
+            "--kind", kind] + ([] if kind == "distribution" else ["--t", str(t)])
+    rendered = {}
+    for fmt in ("json", "csv"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv + ["--format", fmt]) == EXIT_OK
+        rendered[fmt] = out.getvalue()
+    header, *rows = rendered["csv"].splitlines()
+    assert header == "t,count"
+    records = json.loads(rendered["json"])["records"]
+    assert rows == [f"{r['query']['t']},{r['value']}" for r in records]
+    if kind == "distribution":
+        assert sum(int(row.split(",")[1]) for row in rows) == q ** (m * eta * ell)
 
 
 def test_volume_with_oracle_check(capsys):
@@ -219,7 +245,8 @@ def test_text_format(capsys):
     [
         (["volume", *PARAMS_221, "--kind", "sphere", "--t", "1", "--output", "{missing}/r.json"],
          None),
-        (["volume", *PARAMS_221, "--kind", "distribution", "--csv", "{missing}/d.csv"], None),
+        (["volume", *PARAMS_221, "--kind", "distribution", "--format", "csv",
+          "--output", "{missing}/d.csv"], None),
         (["volume", *PARAMS_221, "--kind", "sphere", "--t", "1", "--budget", "-1"], None),
         (["volume", "--q", "6", "--m", "2", "--eta", "2", "--ell", "1", "--kind", "sphere",
           "--t", "1"], None),
@@ -246,14 +273,20 @@ def test_text_format(capsys):
           "--profile", "1,1", "--t", "5"], "error: t must lie in 0..4"),
         (["intersect", *PARAMS_222, "--u", "0", "--s", "0", "--variant", "thm1-literal",
           "--profile", "1,1", "--t", "-1"], "error: t must lie in 0..4"),
-        (["volume", *PARAMS_221, "--kind", "ball", "--t", "1", "--csv", "{missing}/x.csv"],
-         "error: --csv requires --kind distribution"),
+        (["volume", *PARAMS_221, "--kind", "distribution", "--t", "99"],
+         "error: --kind distribution takes no --t"),
+        (["volume", *PARAMS_221, "--kind", "distribution", "--t", "-5"],
+         "error: --kind distribution takes no --t"),
+        # the CSV has no oracle column, so the cross-check would be lost
+        (["volume", *PARAMS_221, "--kind", "ball", "--t", "1", "--oracle", "--format", "csv"],
+         "error: --format csv has no oracle column"),
     ],
     ids=["output-dir-missing", "csv-dir-missing", "negative-budget", "q-not-prime-power",
          "volume-oracle-q-composite", "intersect-oracle-q-composite", "verify-q-composite",
          "profile-too-short", "profile-part-above-mu", "profile-not-integers",
          "profile-t-disagree", "profile-t-above-max-thm3", "profile-t-above-max-thm1",
-         "profile-t-above-max-thm2", "profile-t-negative-thm1", "csv-without-distribution"],
+         "profile-t-above-max-thm2", "profile-t-negative-thm1", "distribution-with-t",
+         "distribution-with-negative-t", "csv-with-oracle"],
 )
 def test_bad_input_is_one_error_line_exit_2(capsys, tmp_path, argv, line):
     code = main([arg.format(missing=tmp_path / "missing") for arg in argv])
@@ -263,6 +296,17 @@ def test_bad_input_is_one_error_line_exit_2(capsys, tmp_path, argv, line):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     if line is not None:
         assert captured.err == line + "\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["intersect", *PARAMS_222, "--u", "1", "--s", "1", "--t", "2"],
+    ["verify", "--grid", "none"],
+])
+def test_csv_is_a_volume_format_only(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--format", "csv"])
+    assert exc.value.code == EXIT_BAD_ARGS
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", ["sphere", "ball"])
@@ -327,7 +371,7 @@ def test_readme_cli_examples_exit_0(capsys, tmp_path):
                 for line in block.splitlines() if line.startswith("sumrank ")]
     assert examples
     for argv in examples:
-        if "--csv" in argv:
-            at = argv.index("--csv") + 1
+        if "--output" in argv:
+            at = argv.index("--output") + 1
             argv[at] = str(tmp_path / argv[at])
         assert main(argv) == EXIT_OK, " ".join(argv)

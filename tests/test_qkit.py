@@ -116,6 +116,29 @@ def test_package_source_has_no_assert():
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
 
 
+def _open_calls(node, owner):
+    # the innermost function around each open() or x.open() call
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _open_calls(child, child.name)
+            continue
+        if isinstance(child, ast.Call) and "open" in (
+            getattr(child.func, "id", None), getattr(child.func, "attr", None)
+        ):
+            yield owner
+        yield from _open_calls(child, owner)
+
+
+def test_package_source_opens_files_only_in_cli_main():
+    # one output path: cli.main is the only code that writes a file
+    owners = [
+        (path.name, owner)
+        for path in sorted(Path(sumrank.__file__).parent.glob("*.py"))
+        for owner in _open_calls(ast.parse(path.read_text()), None)
+    ]
+    assert owners == [("cli.py", "main")]
+
+
 def test_input_error_is_the_one_refusal_class():
     assert issubclass(qkit.InputError, ValueError)
     assert sumrank.InputError is qkit.InputError
