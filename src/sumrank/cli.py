@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import asdict
+from functools import lru_cache
 from typing import Any, Optional
 
 from sumrank import __version__, oracle, volumes
@@ -40,7 +41,12 @@ def _add_common_args(sub: argparse.ArgumentParser, *extra_formats: str) -> None:
     sub.add_argument("--output", help="write the report to this file instead of stdout")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by later ones.
+
+    Parsing leaves no state on the parser: every call fills a fresh namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="sumrank",
         description="Exact sum-rank metric sphere, ball and intersection volumes.",

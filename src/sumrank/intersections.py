@@ -15,6 +15,7 @@ side so a verification run can compare each against brute force.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 
 from sumrank.compositions import RankProfile, enumerate_bounded, enumerate_uniform
@@ -30,6 +31,38 @@ def _exact_div(num: int, den: int, what: str) -> int:
     return quot
 
 
+def _check_distance(u: int, s: int, t: int, n: int, m: int) -> int:
+    """Raise InputError unless u, s, t >= 0 and t <= min(m, n); return min(m, n)."""
+    if min(u, s, t) < 0:
+        raise InputError("radii and distance must be nonnegative")
+    mu = min(m, n)
+    if t > mu:
+        raise InputError(f"center distance {t} exceeds min(m, n) = {mu}")
+    return mu
+
+
+# Bounds on the kernel caches below. A row or table is keyed by one radius of
+# one (n, m, q) space, so a query on blocks of size eta x m needs at most
+# min(m, eta) + 1 of each; the bounds hold every key of several such spaces.
+_ROW_CACHE_SIZE = 512
+_TABLE_CACHE_SIZE = 128
+_EXACT_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_ROW_CACHE_SIZE)
+def _krawtchouk_row(j: int, n: int, m: int, q: int) -> tuple[int, ...]:
+    """K_j(i) for i = 0..n."""
+    return tuple(q_krawtchouk(j, i, n, m, q) for i in range(n + 1))
+
+
+@lru_cache(maxsize=_ROW_CACHE_SIZE)
+def _weighted_krawtchouk(t: int, n: int, m: int, q: int) -> tuple[int, ...]:
+    """NM(n, m, i) K_t(i) for i = 0..n: the center-distance factor of J's numerator."""
+    return tuple(
+        num_matrices_rank(n, m, i, q) * k for i, k in enumerate(_krawtchouk_row(t, n, m, q))
+    )
+
+
 def rank_sphere_intersection_J(u: int, s: int, t: int, n: int, m: int, q: int) -> int:
     """Vectors at rank distance exactly u and s from two centers at distance t.
 
@@ -37,24 +70,29 @@ def rank_sphere_intersection_J(u: int, s: int, t: int, n: int, m: int, q: int) -
     Clamped to 0 outside the feasible region (triangle inequality or a radius
     above min(m, n)) before the Krawtchouk sum is evaluated.
     """
-    if min(u, s, t) < 0:
-        raise InputError("radii and distance must be nonnegative")
-    mu = min(m, n)
-    if t > mu:
-        raise InputError(f"center distance {t} exceeds min(m, n) = {mu}")
+    mu = _check_distance(u, s, t, n, m)
     if u > mu or s > mu or u + s < t or abs(u - s) > t:
         return 0
-    numerator = sum(
-        num_matrices_rank(n, m, i, q)
-        * q_krawtchouk(u, i, n, m, q)
-        * q_krawtchouk(s, i, n, m, q)
-        * q_krawtchouk(t, i, n, m, q)
-        for i in range(n + 1)
-    )
+    rows = zip(_weighted_krawtchouk(t, n, m, q), _krawtchouk_row(u, n, m, q),
+               _krawtchouk_row(s, n, m, q))
+    numerator = sum(w * ku * ks for w, ku, ks in rows)
     value = _exact_div(numerator, q ** (m * n) * num_matrices_rank(n, m, t, q), "J")
     if value < 0:
         raise InternalInconsistencyError("J: negative count")
     return value
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _j_table(t: int, n: int, m: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """J(a, b, t) for a, b in 0..min(m, n); zero off the band |a - b| <= t <= a + b."""
+    mu = min(m, n)
+    return tuple(
+        tuple(
+            rank_sphere_intersection_J(a, b, t, n, m, q) if abs(a - b) <= t <= a + b else 0
+            for b in range(mu + 1)
+        )
+        for a in range(mu + 1)
+    )
 
 
 def rank_ball_intersection_I(u: int, s: int, t: int, n: int, m: int, q: int) -> int:
@@ -62,14 +100,11 @@ def rank_ball_intersection_I(u: int, s: int, t: int, n: int, m: int, q: int) -> 
 
     Sums J over the running radii: I(u,s,t) = sum_{i<=u} sum_{j<=s} J(i,j,t).
     (The published display repeats the outer arguments inside the double sum;
-    that reading is constant in i, j and is treated as a typo.)
+    that reading is constant in i, j and is treated as a typo.) Refuses what
+    J refuses.
     """
-    mu = min(m, n)
-    return sum(
-        rank_sphere_intersection_J(i, j, t, n, m, q)
-        for i in range(min(u, mu) + 1)
-        for j in range(min(s, mu) + 1)
-    )
+    _check_distance(u, s, t, n, m)
+    return sum(sum(row[: s + 1]) for row in _j_table(t, n, m, q)[: u + 1])
 
 
 @dataclass(frozen=True)
@@ -94,29 +129,45 @@ def sumrank_intersection_exact(query: IntersectionQuery) -> int:
     distances (a_i to x, b_i to y) satisfy sum a_i <= u and sum b_i <= s, and
     for block i there are J(a_i, b_i, t_i, eta, m) choices. The sum of
     products over all admissible (a, b) profiles is evaluated by a capped
-    two-dimensional dynamic program over blocks.
+    two-dimensional dynamic program over blocks. The count does not depend on
+    the order of the blocks, so it is computed once per sorted profile.
     """
     p = query.p
-    u = min(query.u, p.max_weight)
-    s = min(query.s, p.max_weight)
-    # state: partial (sum a, sum b) -> number of partial block choices
-    dp = {(0, 0): 1}
-    for ti in query.tprofile:
-        block = [
-            [rank_sphere_intersection_J(a, b, ti, p.eta, p.m, p.q) for b in range(p.mu + 1)]
-            for a in range(p.mu + 1)
-        ]
-        new: dict[tuple[int, int], int] = {}
-        for (pa, pb), c in dp.items():
-            for a in range(min(p.mu, u - pa) + 1):
-                row = block[a]
-                for b in range(min(p.mu, s - pb) + 1):
-                    j = row[b]
-                    if j:
-                        key = (pa + a, pb + b)
-                        new[key] = new.get(key, 0) + c * j
+    return _exact_sorted(
+        tuple(sorted(query.tprofile)),
+        min(query.u, p.max_weight), min(query.s, p.max_weight), p.eta, p.m, p.q,
+    )
+
+
+@lru_cache(maxsize=_EXACT_CACHE_SIZE)
+def _exact_sorted(tprofile: RankProfile, u: int, s: int, eta: int, m: int, q: int) -> int:
+    """The block dynamic program of sumrank_intersection_exact, for radii u, s <= ell * mu."""
+    # dp[pa][pb]: choices on the blocks so far with sum a_i = pa and sum b_i = pb
+    dp = [[1]]
+    for t in tprofile:
+        table = _j_table(t, eta, m, q)
+        mu = len(table) - 1
+        # the nonzero entries (b, J(a, b, t)) of each row a of the table
+        bands = [[(b, j) for b, j in enumerate(jrow) if j] for jrow in table]
+        width = min(len(dp[0]) + mu, s + 1)
+        new = [[0] * width for _ in range(min(len(dp) + mu, u + 1))]
+        for pa, row in enumerate(dp):
+            nonzero = [pb for pb, c in enumerate(row) if c]
+            if not nonzero:
+                continue
+            lo = nonzero[0]
+            seg = row[lo : nonzero[-1] + 1]
+            for a, band in enumerate(bands[: u + 1 - pa]):
+                out = new[pa + a]
+                for b, j in band:
+                    start = lo + b
+                    if start >= width:
+                        break
+                    # a slice past width is clipped, and zip stops with it
+                    stop = start + len(seg)
+                    out[start:stop] = [o + c * j for o, c in zip(out[start:stop], seg)]
         dp = new
-    return sum(dp.values())
+    return sum(map(sum, dp))
 
 
 def theorem1_literal(p: Params, u: int, s: int, t: int) -> int:

@@ -81,7 +81,6 @@ def num_matrices_rank(n: int, m: int, t: int, q: int) -> int:
     return count
 
 
-@lru_cache(maxsize=None)
 def q_krawtchouk(j: int, i: int, n: int, m: int, q: int) -> int:
     """q-Krawtchouk polynomial K_j(i) for the m x n bilinear-forms scheme.
 

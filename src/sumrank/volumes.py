@@ -78,7 +78,12 @@ def _weights_up_to(p: Params, top: int) -> tuple[int, ...]:
     return tuple(dist)
 
 
-@lru_cache(maxsize=None)
+# A distribution can take megabytes (1.1 MB at (2,26,26,26)), and the CLI asks
+# each one once, so the cache keeps only the most recent ones.
+_DISTRIBUTION_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=_DISTRIBUTION_CACHE_SIZE)
 def weight_distribution(p: Params) -> tuple[int, ...]:
     """Sphere volumes for every radius 0..ell*mu, by convolution.
 

@@ -2,7 +2,11 @@ import contextlib
 import io
 import json
 import math
+import os
+import re
 import shlex
+import subprocess
+import sys
 from decimal import Decimal
 from pathlib import Path
 
@@ -11,10 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sumrank
 from sumrank.cli import (
     EXIT_BAD_ARGS,
     EXIT_BUDGET,
     EXIT_OK,
+    build_parser,
     main,
 )
 from sumrank import intersections
@@ -216,6 +222,27 @@ def test_verify_skips_a_space_past_the_digit_limit(capsys):
         {"cell": {"q": 7, "m": 16, "eta": 18, "ell": 26}, "required_budget": str(BIG_SPACE)}
     ]
     jsonschema.validate(report, REPORT_SCHEMA)
+
+
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()
+    assert build_parser.cache_parameters()["maxsize"] == 1
+
+
+def test_main_calls_leave_no_state_behind(capsys):
+    # an --oracle call, then a plain one, answers as a fresh process does
+    argv = ["volume", *PARAMS_222, "--kind", "sphere", "--t", "2"]
+    env = {**os.environ, "PYTHONPATH": str(Path(sumrank.__file__).resolve().parents[1])}
+    fresh = subprocess.run([sys.executable, "-m", "sumrank.cli", *argv], env=env,
+                           capture_output=True, text=True, check=True).stdout
+    assert run_cli(capsys, *argv, "--oracle")[0] == EXIT_OK
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+
+    def blank(text):
+        return re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', text)
+
+    assert blank(out) == blank(fresh)
 
 
 def test_json_round_trip_is_byte_identical(capsys):

@@ -1,11 +1,13 @@
+import dataclasses
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sumrank import oracle
+from sumrank import intersections, oracle
 from sumrank.compositions import enumerate_uniform
 from sumrank.intersections import (
     IntersectionQuery,
@@ -20,8 +22,8 @@ from sumrank.intersections import (
     theorem3_literal,
     theorem3_per_profile,
 )
-from sumrank.qkit import gaussian_binomial, num_matrices_rank
-from sumrank.volumes import Params
+from sumrank.qkit import InputError, gaussian_binomial, num_matrices_rank, q_krawtchouk
+from sumrank.volumes import Params, weight_distribution
 
 P221 = Params(q=2, m=2, eta=2, ell=1)
 P222 = Params(q=2, m=2, eta=2, ell=2)
@@ -90,6 +92,22 @@ class TestRankBallIntersectionI:
     def test_frozen_oracle_value(self):
         # frozen: brute force over F_4^2, centers at rank distance 1
         assert rank_ball_intersection_I(1, 1, 1, 2, 2, 2) == 6
+
+    @staticmethod
+    def _refuses_as_j_does(args):
+        with pytest.raises(InputError) as refused_by_j:
+            rank_sphere_intersection_J(*args)
+        with pytest.raises(InputError, match=re.escape(str(refused_by_j.value))):
+            rank_ball_intersection_I(*args)
+        return str(refused_by_j.value)
+
+    @pytest.mark.parametrize("args", [(-1, 0, 1), (0, -3, 1), (-1, 0, 99)])
+    def test_refuses_a_negative_radius_as_j_does(self, args):
+        assert "nonnegative" in self._refuses_as_j_does((*args, 2, 2, 2))
+
+    @pytest.mark.parametrize("args", [(0, 0, 3), (2, 1, 99)])
+    def test_refuses_a_distance_above_min_m_n_as_j_does(self, args):
+        assert "exceeds min(m, n)" in self._refuses_as_j_does((*args, 2, 2, 2))
 
 
 class TestSumrankIntersectionExact:
@@ -316,3 +334,131 @@ def test_one_column_blocks_give_the_hamming_metric(q, m, ell, data):
     query = IntersectionQuery(p=p, u=u, s=s, tprofile=profile)
     expected = _hamming_intersection(q**m, ell, sum(profile), u, s)
     assert sumrank_intersection_exact(query) == expected
+
+
+@given(_rank_cells(), st.data())
+def test_j_is_the_krawtchouk_sum(cell, data):
+    # written out from point values; the sum is 0 off the band, so no clamp
+    n, m, q, t = cell
+    u, s = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
+    numerator = sum(
+        num_matrices_rank(n, m, i, q)
+        * q_krawtchouk(u, i, n, m, q) * q_krawtchouk(s, i, n, m, q) * q_krawtchouk(t, i, n, m, q)
+        for i in range(n + 1)
+    )
+    expected, rem = divmod(numerator, q ** (m * n) * num_matrices_rank(n, m, t, q))
+    assert rem == 0
+    assert rank_sphere_intersection_J(u, s, t, n, m, q) == expected
+
+
+@given(_rank_cells(), st.integers(0, 6), st.integers(0, 6))
+def test_i_is_the_double_sum_of_j(cell, u, s):
+    n, m, q, t = cell
+    mu = min(m, n)
+    assert rank_ball_intersection_I(u, s, t, n, m, q) == sum(
+        rank_sphere_intersection_J(a, b, t, n, m, q)
+        for a in range(min(u, mu) + 1)
+        for b in range(min(s, mu) + 1)
+    )
+
+
+@st.composite
+def _exact_queries(draw, max_ell):
+    """A query with 1 <= m, eta <= 5, ell <= max_ell and radii up to one past ell * mu."""
+    p = Params(q=draw(st.sampled_from([2, 3, 4, 5])), m=draw(st.integers(1, 5)),
+               eta=draw(st.integers(1, 5)), ell=draw(st.integers(1, max_ell)))
+    profile = draw(st.lists(st.integers(0, p.mu), min_size=p.ell, max_size=p.ell))
+    u, s = (draw(st.integers(0, p.max_weight + 1)) for _ in range(2))
+    return IntersectionQuery(p=p, u=u, s=s, tprofile=tuple(profile))
+
+
+@given(_exact_queries(max_ell=4))
+def test_exact_is_invariant_under_block_permutations(query):
+    p = query.p
+    expected = sumrank_intersection_exact(query)
+    for perm in set(itertools.permutations(query.tprofile)):
+        assert sumrank_intersection_exact(dataclasses.replace(query, tprofile=perm)) == expected
+        # the block program itself, in the permuted order, past its sorted-profile memo
+        assert intersections._exact_sorted.__wrapped__(
+            perm, min(query.u, p.max_weight), min(query.s, p.max_weight), p.eta, p.m, p.q
+        ) == expected
+
+
+@given(_exact_queries(max_ell=3))
+def test_exact_is_the_sum_over_every_block_choice(query):
+    p = query.p
+    choices = [
+        [(a, b, j) for a in range(p.mu + 1) for b in range(p.mu + 1)
+         if (j := rank_sphere_intersection_J(a, b, t, p.eta, p.m, p.q))]
+        for t in query.tprofile
+    ]
+    expected = sum(
+        math.prod(j for _, _, j in blocks)
+        for blocks in itertools.product(*choices)
+        if sum(a for a, _, _ in blocks) <= query.u and sum(b for _, b, _ in blocks) <= query.s
+    )
+    assert sumrank_intersection_exact(query) == expected
+
+
+KERNELS = (intersections._krawtchouk_row, intersections._weighted_krawtchouk,
+           intersections._j_table, intersections._exact_sorted)
+
+
+def _clear_kernel_caches():
+    for kernel in KERNELS:
+        kernel.cache_clear()
+
+
+def test_kernel_and_distribution_caches_are_bounded():
+    for cached in (*KERNELS, weight_distribution):
+        maxsize = cached.cache_parameters()["maxsize"]
+        assert isinstance(maxsize, int) and maxsize > 0, cached.__name__
+
+
+def test_a_sweep_past_the_table_bounds_keeps_cold_answers():
+    # every (t, n, m, q) for n, m <= 9 and q in {2, 3}: more tables and rows than fit
+    keys = [(t, n, m, q) for q in (2, 3) for n in range(1, 10) for m in range(1, 10)
+            for t in range(min(m, n) + 1)]
+    rows = {(j, n, m, q) for _, n, m, q in keys for j in range(min(m, n) + 1)}
+    bounded = KERNELS[:3]
+    assert len(keys) > intersections._j_table.cache_parameters()["maxsize"]
+    assert len(rows) > intersections._krawtchouk_row.cache_parameters()["maxsize"]
+
+    def answers(t, n, m, q):
+        mu = min(m, n)
+        return [rank_ball_intersection_I(a, b, t, n, m, q)
+                for a in range(mu + 1) for b in range(mu + 1)]
+
+    _clear_kernel_caches()
+    swept = {}
+    for key in keys:
+        swept[key] = answers(*key)
+        for kernel in bounded:
+            info = kernel.cache_info()
+            assert info.currsize <= info.maxsize
+    assert all(kernel.cache_info().misses > kernel.cache_info().maxsize for kernel in bounded)
+    for key in keys:
+        _clear_kernel_caches()
+        assert answers(*key) == swept[key], key
+
+
+def test_a_sweep_past_the_exact_bound_keeps_cold_answers():
+    cells = [Params(q=q, m=2, eta=2, ell=3) for q in (2, 3, 4, 5)]
+    queries = [
+        IntersectionQuery(p=p, u=u, s=s, tprofile=profile)
+        for p in cells
+        for profile in itertools.combinations_with_replacement(range(p.mu + 1), p.ell)
+        for u in range(p.max_weight + 1)
+        for s in range(p.max_weight + 1)
+    ]
+    memo = intersections._exact_sorted
+    assert len(queries) > memo.cache_parameters()["maxsize"]
+    _clear_kernel_caches()
+    swept = []
+    for query in queries:
+        swept.append(sumrank_intersection_exact(query))
+        assert memo.cache_info().currsize <= memo.cache_info().maxsize
+    assert memo.cache_info().misses == len(queries)
+    for query, value in zip(queries, swept):
+        memo.cache_clear()
+        assert sumrank_intersection_exact(query) == value
