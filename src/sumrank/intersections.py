@@ -7,7 +7,8 @@ distances between the two centers are an isometry invariant, so the exact
 intersection volume is computed block by block for a given distance profile.
 
 The published closed-form expressions (the general triple-partition sum and
-the two special cases) are also implemented verbatim as *_literal functions.
+the two special cases) are the *_literal functions: the printed sums, evaluated
+as coefficients of the exact block DP; I reads its running-sum table of J.
 Where their printed conventions are ambiguous, both readings exist side by
 side so a verification run can compare each against brute force.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import prod
 
 from sumrank.compositions import RankProfile, enumerate_bounded, enumerate_uniform
@@ -47,6 +49,7 @@ def _check_distance(u: int, s: int, t: int, n: int, m: int) -> int:
 _ROW_CACHE_SIZE = 512
 _TABLE_CACHE_SIZE = 128
 _EXACT_CACHE_SIZE = 1024
+Table = tuple[tuple[int, ...], ...]  # a block's counts, indexed [a][b]
 
 
 @lru_cache(maxsize=_ROW_CACHE_SIZE)
@@ -83,7 +86,7 @@ def rank_sphere_intersection_J(u: int, s: int, t: int, n: int, m: int, q: int) -
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _j_table(t: int, n: int, m: int, q: int) -> tuple[tuple[int, ...], ...]:
+def _j_table(t: int, n: int, m: int, q: int) -> Table:
     """J(a, b, t) for a, b in 0..min(m, n); zero off the band |a - b| <= t <= a + b."""
     mu = min(m, n)
     return tuple(
@@ -95,6 +98,13 @@ def _j_table(t: int, n: int, m: int, q: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _i_table(t: int, n: int, m: int, q: int) -> Table:
+    """I(a, b, t) for a, b in 0..min(m, n): _j_table's running sums in both directions."""
+    rows = (accumulate(row) for row in _j_table(t, n, m, q))
+    return tuple(zip(*(accumulate(col) for col in zip(*rows))))
+
+
 def rank_ball_intersection_I(u: int, s: int, t: int, n: int, m: int, q: int) -> int:
     """Vectors at rank distance at most u and at most s from centers at distance t.
 
@@ -103,8 +113,8 @@ def rank_ball_intersection_I(u: int, s: int, t: int, n: int, m: int, q: int) -> 
     that reading is constant in i, j and is treated as a typo.) Refuses what
     J refuses.
     """
-    _check_distance(u, s, t, n, m)
-    return sum(sum(row[: s + 1]) for row in _j_table(t, n, m, q)[: u + 1])
+    mu = _check_distance(u, s, t, n, m)
+    return _i_table(t, n, m, q)[min(u, mu)][min(s, mu)]
 
 
 @dataclass(frozen=True)
@@ -142,12 +152,15 @@ def sumrank_intersection_exact(query: IntersectionQuery) -> int:
 @lru_cache(maxsize=_EXACT_CACHE_SIZE)
 def _exact_sorted(tprofile: RankProfile, u: int, s: int, eta: int, m: int, q: int) -> int:
     """The block dynamic program of sumrank_intersection_exact, for radii u, s <= ell * mu."""
-    # dp[pa][pb]: choices on the blocks so far with sum a_i = pa and sum b_i = pb
-    dp = [[1]]
-    for t in tprofile:
-        table = _j_table(t, eta, m, q)
+    return sum(map(sum, _block_product([_j_table(t, eta, m, q) for t in tprofile], u, s)))
+
+
+def _block_product(tables: list[Table], u: int, s: int) -> list[list[int]]:
+    """The product of 1+ tables (entry [a][b] at x^a y^b) as dp[pa][pb], pa <= u, pb <= s."""
+    dp = [row[: s + 1] for row in tables[0][: u + 1]]
+    for table in tables[1:]:
         mu = len(table) - 1
-        # the nonzero entries (b, J(a, b, t)) of each row a of the table
+        # the nonzero entries (b, table[a][b]) of each row a of the table
         bands = [[(b, j) for b, j in enumerate(jrow) if j] for jrow in table]
         width = min(len(dp[0]) + mu, s + 1)
         new = [[0] * width for _ in range(min(len(dp) + mu, u + 1))]
@@ -167,26 +180,28 @@ def _exact_sorted(tprofile: RankProfile, u: int, s: int, eta: int, m: int, q: in
                     stop = start + len(seg)
                     out[start:stop] = [o + c * j for o, c in zip(out[start:stop], seg)]
         dp = new
-    return sum(map(sum, dp))
+    return dp
+
+
+def _coefficient(tables: list[Table], u: int, s: int) -> int:
+    """The coefficient of x^u y^s in the product of the tables."""
+    dp = _block_product(tables, u, s)
+    return dp[u][s] if u < len(dp) and s < len(dp[0]) else 0
 
 
 def theorem1_literal(p: Params, u: int, s: int, t: int) -> int:
     """The published general triple-partition sum, exactly as printed.
 
     Sums prod_i I(u_i, s_i, t_i, eta, m) over all compositions of u, s and t
-    into ell parts bounded by mu. Requires u + s >= t.
+    into ell parts bounded by mu. Requires u + s >= t. Per composition of t,
+    the sums over u and s are the x^u y^s coefficient of the blocks' I tables.
     """
+    if min(u, s, t) < 0:
+        raise InputError("radii and distance must be nonnegative")
     if u + s < t:
         raise InputError("requires u + s >= t")
-    total = 0
-    for uvec in enumerate_uniform(u, p.ell, p.mu):
-        for svec in enumerate_uniform(s, p.ell, p.mu):
-            for tvec in enumerate_uniform(t, p.ell, p.mu):
-                total += prod(
-                    rank_ball_intersection_I(ui, si, ti, p.eta, p.m, p.q)
-                    for ui, si, ti in zip(uvec, svec, tvec)
-                )
-    return total
+    return sum(_coefficient([_i_table(ti, p.eta, p.m, p.q) for ti in tvec], u, s)
+               for tvec in enumerate_uniform(t, p.ell, p.mu))
 
 
 def rank1_additive_pairs(n: int, m: int, r: int, q: int) -> int:
@@ -225,15 +240,15 @@ def theorem2_literal(p: Params, delta: int) -> int:
     """The published |B(x, delta) intersect B(y, 1)| expression, as printed.
 
     The subtracted block sum ranges over every composition of delta, not just
-    the one realized by a concrete center pair.
+    the one realized by a concrete center pair: ell times the x^delta
+    coefficient of a block's column of R times ell - 1 columns of ones.
     """
     if not 1 <= delta <= p.max_weight:
         raise InputError(f"delta must lie in 1..{p.max_weight}")
-    return 1 + rank1_additive_pairs(p.n, p.m, 0, p.q) - sum(
-        rank1_additive_pairs(p.eta, p.m, di, p.q)
-        for dvec in enumerate_uniform(delta, p.ell, p.mu)
-        for di in dvec
-    )
+    column = tuple((rank1_additive_pairs(p.eta, p.m, d, p.q),) for d in range(p.mu + 1))
+    ones = ((1,),) * (p.mu + 1)
+    return 1 + rank1_additive_pairs(p.n, p.m, 0, p.q) - p.ell * _coefficient(
+        [column] + [ones] * (p.ell - 1), delta, 0)
 
 
 def theorem3_per_profile(p: Params, gprofile: RankProfile, dprofile: RankProfile) -> int:
@@ -270,14 +285,16 @@ def theorem3_literal(p: Params, gamma: int, delta: int) -> int:
 
     sum over compositions of delta, splits of gamma, of
     sum_i q^{g_i (d_i - g_i)} [d_i choose g_i]_q  (sum over blocks, not product).
+    That is ell times the x^gamma y^(delta - gamma) coefficient of a block's
+    triangle of pairs (g, h = d - g), g + h <= mu, times ell - 1 of ones.
     """
     if not 0 <= gamma <= delta:
         raise InputError("requires 0 <= gamma <= delta")
-    total = 0
-    for dvec in enumerate_uniform(delta, p.ell, p.mu):
-        for gvec in enumerate_bounded(gamma, dvec):
-            total += sum(_direct_sum_pairs(di, gi, p.q) for gi, di in zip(gvec, dvec))
-    return total
+    mu, cells = p.mu, range(p.mu + 1)
+    pairs = tuple(tuple(_direct_sum_pairs(g + h, g, p.q) if g + h <= mu else 0 for h in cells)
+                  for g in cells)
+    ones = tuple(tuple(int(g + h <= mu) for h in cells) for g in cells)
+    return p.ell * _coefficient([pairs] + [ones] * (p.ell - 1), gamma, delta - gamma)
 
 
 def _direct_sum_pairs(d: int, g: int, q: int) -> int:

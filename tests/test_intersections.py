@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sumrank import intersections, oracle
-from sumrank.compositions import enumerate_uniform
+from sumrank.compositions import enumerate_bounded, enumerate_uniform
 from sumrank.intersections import (
     IntersectionQuery,
     rank1_additive_pairs,
@@ -171,6 +171,31 @@ class TestTheorem1Literal:
     def test_hypothesis_enforced(self):
         with pytest.raises(ValueError):
             theorem1_literal(P222, 0, 0, 1)
+
+    @pytest.mark.parametrize("args", [(-1, 5, 2), (5, -1, 2), (2, 2, -1)])
+    def test_refuses_every_negative_radius_or_distance(self, args):
+        # u = 5 exceeds ell * mu, so (5, -1, 2) reads 0 unless s is checked
+        with pytest.raises(InputError, match="nonnegative"):
+            theorem1_literal(P222, *args)
+
+    def test_enumerates_the_compositions_of_t_once(self, monkeypatch):
+        calls = []
+
+        def recording(total, ell, mu):
+            calls.append((total, ell, mu))
+            return enumerate_uniform(total, ell, mu)
+
+        monkeypatch.setattr(intersections, "enumerate_uniform", recording)
+        assert theorem1_literal(P222, 3, 2, 1) == _theorem1_printed(P222, 3, 2, 1)
+        assert calls == [(1, P222.ell, P222.mu)]
+
+    @pytest.mark.parametrize("cell, radius, expected", [
+        ((2, 4, 4, 4), 8, 24132412434850654),
+        # cross-checked by a 3-D generating function over I, keyed by (u, s, t)
+        ((2, 3, 3, 6), 9, 16090611222730880),
+    ])
+    def test_pinned_values_where_the_printed_sum_is_too_slow(self, cell, radius, expected):
+        assert theorem1_literal(Params(*cell), radius, radius, radius) == expected
 
     def test_known_discrepancy_for_two_blocks(self):
         # the printed triple sum aggregates over center pairs; for ell >= 2 it
@@ -400,8 +425,71 @@ def test_exact_is_the_sum_over_every_block_choice(query):
     assert sumrank_intersection_exact(query) == expected
 
 
+# The printed sums, term by term: the references for the *_literal readings.
+
+
+def _theorem1_printed(p, u, s, t):
+    """prod_i I(u_i, s_i, t_i) summed over every composition of u, of s and of t."""
+    total = 0
+    for uvec in enumerate_uniform(u, p.ell, p.mu):
+        for svec in enumerate_uniform(s, p.ell, p.mu):
+            for tvec in enumerate_uniform(t, p.ell, p.mu):
+                total += math.prod(
+                    rank_ball_intersection_I(ui, si, ti, p.eta, p.m, p.q)
+                    for ui, si, ti in zip(uvec, svec, tvec)
+                )
+    return total
+
+
+def _theorem2_printed(p, delta):
+    """1 + R(n, m, 0) minus R(eta, m, d_i) over every block of every composition of delta."""
+    return 1 + rank1_additive_pairs(p.n, p.m, 0, p.q) - sum(
+        rank1_additive_pairs(p.eta, p.m, di, p.q)
+        for dvec in enumerate_uniform(delta, p.ell, p.mu)
+        for di in dvec
+    )
+
+
+def _theorem3_printed(p, gamma, delta):
+    """sum_i q^{g_i (d_i - g_i)} [d_i choose g_i]_q over compositions d of delta, splits g."""
+    total = 0
+    for dvec in enumerate_uniform(delta, p.ell, p.mu):
+        for gvec in enumerate_bounded(gamma, dvec):
+            total += sum(p.q ** (gi * (di - gi)) * gaussian_binomial(di, gi, p.q)
+                         for gi, di in zip(gvec, dvec))
+    return total
+
+
+@st.composite
+def _literal_cells(draw):
+    """Params with q in {2, 3, 4}, m, eta <= 3, ell <= 4 and ell * mu <= 8."""
+    m, eta = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    ell = draw(st.integers(1, min(4, 8 // min(m, eta))))
+    return Params(q=draw(st.sampled_from([2, 3, 4])), m=m, eta=eta, ell=ell)
+
+
+@given(_literal_cells(), st.data())
+def test_theorem1_literal_is_the_printed_sum(p, data):
+    t, u = (data.draw(st.integers(0, p.max_weight + 1)) for _ in range(2))
+    s = data.draw(st.integers(max(0, t - u), p.max_weight + 1))
+    assert theorem1_literal(p, u, s, t) == _theorem1_printed(p, u, s, t)
+
+
+@given(_literal_cells(), st.data())
+def test_theorem2_literal_is_the_printed_sum(p, data):
+    delta = data.draw(st.integers(1, p.max_weight))
+    assert theorem2_literal(p, delta) == _theorem2_printed(p, delta)
+
+
+@given(_literal_cells(), st.data())
+def test_theorem3_literal_is_the_printed_sum(p, data):
+    delta = data.draw(st.integers(0, p.max_weight + 1))
+    gamma = data.draw(st.integers(0, delta))
+    assert theorem3_literal(p, gamma, delta) == _theorem3_printed(p, gamma, delta)
+
+
 KERNELS = (intersections._krawtchouk_row, intersections._weighted_krawtchouk,
-           intersections._j_table, intersections._exact_sorted)
+           intersections._j_table, intersections._i_table, intersections._exact_sorted)
 
 
 def _clear_kernel_caches():
@@ -420,7 +508,7 @@ def test_a_sweep_past_the_table_bounds_keeps_cold_answers():
     keys = [(t, n, m, q) for q in (2, 3) for n in range(1, 10) for m in range(1, 10)
             for t in range(min(m, n) + 1)]
     rows = {(j, n, m, q) for _, n, m, q in keys for j in range(min(m, n) + 1)}
-    bounded = KERNELS[:3]
+    bounded = KERNELS[:4]
     assert len(keys) > intersections._j_table.cache_parameters()["maxsize"]
     assert len(rows) > intersections._krawtchouk_row.cache_parameters()["maxsize"]
 
