@@ -1,7 +1,9 @@
 """Intersection volumes of spheres and balls, rank metric and sum-rank metric.
 
-The rank-metric counts J (sphere/sphere) and I (ball/ball) come from the
-Krawtchouk-transform formula for the bilinear-forms association scheme.
+The rank-metric counts J (sphere/sphere) and I (ball/ball) are intersection
+numbers of the bilinear-forms association scheme. J comes from the scheme's
+three-term recurrence on its intersection array; the paper's Krawtchouk
+transform gives the same numbers and is now only the tests' reference.
 For the sum-rank metric the ground truth is per-profile: the per-block rank
 distances between the two centers are an isometry invariant, so the exact
 intersection volume is computed block by block for a given distance profile.
@@ -22,7 +24,7 @@ from math import prod
 
 from sumrank.compositions import RankProfile, enumerate_bounded, enumerate_uniform
 from sumrank.qkit import InternalInconsistencyError  # also raised here; kept importable
-from sumrank.qkit import InputError, gaussian_binomial, num_matrices_rank, q_krawtchouk
+from sumrank.qkit import InputError, gaussian_binomial, num_matrices_rank
 from sumrank.volumes import Params
 
 
@@ -43,46 +45,59 @@ def _check_distance(u: int, s: int, t: int, n: int, m: int) -> int:
     return mu
 
 
-# Bounds on the kernel caches below. A row or table is keyed by one radius of
-# one (n, m, q) space, so a query on blocks of size eta x m needs at most
+# Bounds on the kernel caches below. A table is keyed by one radius of one
+# (n, m, q) space, so a query on blocks of size eta x m needs at most
 # min(m, eta) + 1 of each; the bounds hold every key of several such spaces.
-_ROW_CACHE_SIZE = 512
 _TABLE_CACHE_SIZE = 128
 _EXACT_CACHE_SIZE = 1024
 Table = tuple[tuple[int, ...], ...]  # a block's counts, indexed [a][b]
 
 
-@lru_cache(maxsize=_ROW_CACHE_SIZE)
-def _krawtchouk_row(j: int, n: int, m: int, q: int) -> tuple[int, ...]:
-    """K_j(i) for i = 0..n."""
-    return tuple(q_krawtchouk(j, i, n, m, q) for i in range(n + 1))
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _j_rows(t: int, n: int, m: int, q: int) -> Table:
+    """J(a, b, t) for a, b in 0..min(m, n), by the scheme's three-term recurrence.
 
-
-@lru_cache(maxsize=_ROW_CACHE_SIZE)
-def _weighted_krawtchouk(t: int, n: int, m: int, q: int) -> tuple[int, ...]:
-    """NM(n, m, i) K_t(i) for i = 0..n: the center-distance factor of J's numerator."""
-    return tuple(
-        num_matrices_rank(n, m, i, q) * k for i, k in enumerate(_krawtchouk_row(t, n, m, q))
-    )
+    Row 0 is [b == t]. Each later row is 0 off its band |a - b| <= t <= a + b,
+    and on it, with the intersection numbers b_i (Lemma 8's rank1_additive_pairs),
+    c_i = q^(i-1) [i choose 1]_q and a_i = b_0 - b_i - c_i,
+    c_{a+1} J(a+1,b) = b_{b-1} J(a,b-1) + (a_b - a_a) J(a,b) + c_{b+1} J(a,b+1)
+                       - b_{a-1} J(a-1,b).
+    Every row a must be nonnegative and sum to the sphere NM(n, m, a).
+    """
+    mu = min(m, n)
+    spheres = [num_matrices_rank(n, m, a, q) for a in range(mu + 1)]  # refuses q < 2
+    # b_[-1] is b_mu = 0, so the b_{-1} terms at a = 0 or b = 0 vanish
+    b_ = [rank1_additive_pairs(n, m, i, q) for i in range(mu + 1)]
+    c_ = [0] + [q ** (i - 1) * gaussian_binomial(i, 1, q) for i in range(1, mu + 2)]
+    a_ = [b_[0] - bi - ci for bi, ci in zip(b_, c_)]
+    rows = [tuple(int(b == t) for b in range(mu + 1))]
+    for a in range(mu):
+        padded, band = (0, *rows[a], 0), range(abs(t - a - 1), min(t + a + 1, mu) + 1)
+        rows.append(tuple(
+            _exact_div(b_[b - 1] * padded[b] + (a_[b] - a_[a]) * padded[b + 1]
+                       + c_[b + 1] * padded[b + 2] - b_[a - 1] * rows[a - 1][b], c_[a + 1], "J")
+            if b in band else 0 for b in range(mu + 1)))
+    for a, row in enumerate(rows):
+        if min(row) < 0:
+            raise InternalInconsistencyError("J: negative count")
+        if sum(row) != spheres[a]:
+            raise InternalInconsistencyError(f"J: row {a} does not sum to NM(n, m, {a})")
+    return tuple(rows)
 
 
 def rank_sphere_intersection_J(u: int, s: int, t: int, n: int, m: int, q: int) -> int:
     """Vectors at rank distance exactly u and s from two centers at distance t.
 
-    J(u,s,t,n,m) = [sum_i NM(n,m,i) K_u(i) K_s(i) K_t(i)] / (q^{mn} NM(n,m,t)).
-    Clamped to 0 outside the feasible region (triangle inequality or a radius
-    above min(m, n)) before the Krawtchouk sum is evaluated.
+    The intersection number p^t_{us} of the bilinear-forms scheme, read from
+    the recurrence table _j_rows. (The paper's Krawtchouk transform,
+    [sum_i NM(n,m,i) K_u(i) K_s(i) K_t(i)] / (q^{mn} NM(n,m,t)), gives the same
+    numbers and is the tests' reference.) Clamped to 0 outside the feasible
+    region (triangle inequality or a radius above min(m, n)).
     """
     mu = _check_distance(u, s, t, n, m)
     if u > mu or s > mu or u + s < t or abs(u - s) > t:
         return 0
-    rows = zip(_weighted_krawtchouk(t, n, m, q), _krawtchouk_row(u, n, m, q),
-               _krawtchouk_row(s, n, m, q))
-    numerator = sum(w * ku * ks for w, ku, ks in rows)
-    value = _exact_div(numerator, q ** (m * n) * num_matrices_rank(n, m, t, q), "J")
-    if value < 0:
-        raise InternalInconsistencyError("J: negative count")
-    return value
+    return _j_rows(t, n, m, q)[u][s]
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -245,10 +260,15 @@ def theorem2_literal(p: Params, delta: int) -> int:
     """
     if not 1 <= delta <= p.max_weight:
         raise InputError(f"delta must lie in 1..{p.max_weight}")
-    column = tuple((rank1_additive_pairs(p.eta, p.m, d, p.q),) for d in range(p.mu + 1))
     ones = ((1,),) * (p.mu + 1)
     return 1 + rank1_additive_pairs(p.n, p.m, 0, p.q) - p.ell * _coefficient(
-        [column] + [ones] * (p.ell - 1), delta, 0)
+        [_lemma8_column(p.eta, p.m, p.q)] + [ones] * (p.ell - 1), delta, 0)
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _lemma8_column(eta: int, m: int, q: int) -> Table:
+    """A block's column R(eta, m, d) for d = 0..min(m, eta), as a (mu+1) x 1 table."""
+    return tuple((rank1_additive_pairs(eta, m, d, q),) for d in range(min(m, eta) + 1))
 
 
 def theorem3_per_profile(p: Params, gprofile: RankProfile, dprofile: RankProfile) -> int:
@@ -290,11 +310,17 @@ def theorem3_literal(p: Params, gamma: int, delta: int) -> int:
     """
     if not 0 <= gamma <= delta:
         raise InputError("requires 0 <= gamma <= delta")
-    mu, cells = p.mu, range(p.mu + 1)
-    pairs = tuple(tuple(_direct_sum_pairs(g + h, g, p.q) if g + h <= mu else 0 for h in cells)
-                  for g in cells)
-    ones = tuple(tuple(int(g + h <= mu) for h in cells) for g in cells)
+    pairs, ones = _split_triangles(p.mu, p.q)
     return p.ell * _coefficient([pairs] + [ones] * (p.ell - 1), gamma, delta - gamma)
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _split_triangles(mu: int, q: int) -> tuple[Table, Table]:
+    """A block's triangles of pair counts and of ones at (g, h = d - g), g + h <= mu."""
+    cells = range(mu + 1)
+    pairs = tuple(tuple(_direct_sum_pairs(g + h, g, q) if g + h <= mu else 0 for h in cells)
+                  for g in cells)
+    return pairs, tuple(tuple(int(g + h <= mu) for h in cells) for g in cells)
 
 
 def _direct_sum_pairs(d: int, g: int, q: int) -> int:

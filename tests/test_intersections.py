@@ -110,6 +110,13 @@ class TestRankBallIntersectionI:
         assert "exceeds min(m, n)" in self._refuses_as_j_does((*args, 2, 2, 2))
 
 
+@pytest.mark.parametrize("q", [1, 0, -2])
+@pytest.mark.parametrize("count", [rank_sphere_intersection_J, rank_ball_intersection_I])
+def test_j_and_i_refuse_a_field_size_below_two(count, q):
+    with pytest.raises(InputError, match=re.escape(f"q must be an integer >= 2, got {q}")):
+        count(1, 1, 1, 2, 2, q)
+
+
 class TestSumrankIntersectionExact:
     def test_trivial_cases(self):
         q = IntersectionQuery(p=P222, u=0, s=4, tprofile=(1, 1))
@@ -376,6 +383,52 @@ def test_j_is_the_krawtchouk_sum(cell, data):
     assert rank_sphere_intersection_J(u, s, t, n, m, q) == expected
 
 
+@given(_rank_cells())
+def test_j_table_rows_and_columns_sum_to_the_spheres(cell):
+    n, m, q, t = cell
+    table = intersections._j_table(t, n, m, q)
+    spheres = [num_matrices_rank(n, m, a, q) for a in range(min(m, n) + 1)]
+    assert [sum(row) for row in table] == spheres
+    assert [sum(col) for col in zip(*table)] == spheres
+
+
+@given(_rank_cells(), st.data())
+def test_j_counts_each_triangle_of_distances_from_either_corner(cell, data):
+    # NM(t) J(a, b, t) and NM(a) J(t, b, a) both count the pairs (y, z) with
+    # d(x, y) = t, d(x, z) = a and d(y, z) = b for a fixed x
+    n, m, q, t = cell
+    a, b = (data.draw(st.integers(0, min(m, n))) for _ in range(2))
+    assert num_matrices_rank(n, m, t, q) * rank_sphere_intersection_J(a, b, t, n, m, q) == (
+        num_matrices_rank(n, m, a, q) * rank_sphere_intersection_J(t, b, a, n, m, q))
+
+
+def _krawtchouk_j_table(t, n, m, q):
+    """J(a, b, t) for a, b <= min(m, n), each entry by the paper's Krawtchouk sum."""
+    mu = min(m, n)
+    k = [[q_krawtchouk(j, i, n, m, q) for i in range(n + 1)] for j in range(mu + 1)]
+    weighted = [num_matrices_rank(n, m, i, q) * k[t][i] for i in range(n + 1)]
+    den = q ** (m * n) * num_matrices_rank(n, m, t, q)
+    table = []
+    for a in range(mu + 1):
+        row = []
+        for b in range(mu + 1):
+            quot, rem = divmod(sum(w * x * y for w, x, y in zip(weighted, k[a], k[b])), den)
+            assert rem == 0
+            row.append(quot)
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def test_j_tables_are_the_krawtchouk_sums_over_every_small_space():
+    # q = 4, 8, 9 are not prime: the recurrence must not depend on a prime field
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for n, m in itertools.product(range(1, 7), repeat=2):
+            for t in range(min(m, n) + 1):
+                expected = _krawtchouk_j_table(t, n, m, q)
+                assert intersections._j_table(t, n, m, q) == expected, (t, n, m, q)
+                assert intersections._j_rows(t, n, m, q) == expected, (t, n, m, q)
+
+
 @given(_rank_cells(), st.integers(0, 6), st.integers(0, 6))
 def test_i_is_the_double_sum_of_j(cell, u, s):
     n, m, q, t = cell
@@ -488,8 +541,9 @@ def test_theorem3_literal_is_the_printed_sum(p, data):
     assert theorem3_literal(p, gamma, delta) == _theorem3_printed(p, gamma, delta)
 
 
-KERNELS = (intersections._krawtchouk_row, intersections._weighted_krawtchouk,
-           intersections._j_table, intersections._i_table, intersections._exact_sorted)
+KERNELS = (intersections._j_rows, intersections._j_table, intersections._i_table,
+           intersections._exact_sorted, intersections._lemma8_column,
+           intersections._split_triangles)
 
 
 def _clear_kernel_caches():
@@ -504,13 +558,12 @@ def test_kernel_and_distribution_caches_are_bounded():
 
 
 def test_a_sweep_past_the_table_bounds_keeps_cold_answers():
-    # every (t, n, m, q) for n, m <= 9 and q in {2, 3}: more tables and rows than fit
+    # every (t, n, m, q) for n, m <= 9 and q in {2, 3}: more tables than fit
     keys = [(t, n, m, q) for q in (2, 3) for n in range(1, 10) for m in range(1, 10)
             for t in range(min(m, n) + 1)]
-    rows = {(j, n, m, q) for _, n, m, q in keys for j in range(min(m, n) + 1)}
-    bounded = KERNELS[:4]
-    assert len(keys) > intersections._j_table.cache_parameters()["maxsize"]
-    assert len(rows) > intersections._krawtchouk_row.cache_parameters()["maxsize"]
+    bounded = KERNELS[:3]
+    for kernel in bounded:
+        assert len(keys) > kernel.cache_parameters()["maxsize"]
 
     def answers(t, n, m, q):
         mu = min(m, n)
