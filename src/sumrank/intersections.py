@@ -17,6 +17,7 @@ side so a verification run can compare each against brute force.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -209,14 +210,17 @@ def theorem1_literal(p: Params, u: int, s: int, t: int) -> int:
 
     Sums prod_i I(u_i, s_i, t_i, eta, m) over all compositions of u, s and t
     into ell parts bounded by mu. Requires u + s >= t. Per composition of t,
-    the sums over u and s are the x^u y^s coefficient of the blocks' I tables.
+    the sums over u and s are the x^u y^s coefficient of the blocks' I tables;
+    that coefficient does not depend on the order of the blocks, so it is
+    computed once per partition of t and weighted by its compositions.
     """
     if min(u, s, t) < 0:
         raise InputError("radii and distance must be nonnegative")
     if u + s < t:
         raise InputError("requires u + s >= t")
-    return sum(_coefficient([_i_table(ti, p.eta, p.m, p.q) for ti in tvec], u, s)
-               for tvec in enumerate_uniform(t, p.ell, p.mu))
+    partitions = Counter(tuple(sorted(tvec)) for tvec in enumerate_uniform(t, p.ell, p.mu))
+    return sum(count * _coefficient([_i_table(ti, p.eta, p.m, p.q) for ti in tvec], u, s)
+               for tvec, count in partitions.items())
 
 
 def rank1_additive_pairs(n: int, m: int, r: int, q: int) -> int:

@@ -27,9 +27,23 @@ def _check_q(q: int) -> None:
         raise InputError(f"q must be an integer >= 2, got {q}")
 
 
+# Trial division stops here, so a q above its square may have no certified answer.
+TRIAL_DIVISION_BOUND = 10**6
+
+
 def smallest_prime_factor(q: int) -> int:
-    """The least prime dividing q >= 2, by trial division up to sqrt(q)."""
-    return next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    """The least prime dividing q >= 2, by trial division up to sqrt(q) or the bound.
+
+    Raises InputError for a q above TRIAL_DIVISION_BOUND**2 with no factor up
+    to TRIAL_DIVISION_BOUND: such a q may be a prime or a product of large
+    primes, and telling them apart by trial division could take hours.
+    """
+    bound = min(math.isqrt(q), TRIAL_DIVISION_BOUND)
+    factor = next((d for d in range(2, bound + 1) if q % d == 0), q)
+    if factor == q and q > TRIAL_DIVISION_BOUND**2:
+        raise InputError(f"q = {q} exceeds {TRIAL_DIVISION_BOUND**2} and has no factor up to "
+                         f"{TRIAL_DIVISION_BOUND}, so it cannot be certified a prime power")
+    return factor
 
 
 def is_prime_power(q: int) -> bool:

@@ -3,15 +3,119 @@
 All counts are serialized as decimal strings because they routinely exceed
 64-bit range. Key order is fixed at construction time so a parsed report
 re-serializes byte-identically.
+
+A record's `formula_variant` names a formula from the variant table below.
+The intersection variants are grouped into the questions that `intersect
+--variant` answers; a question fixes the radii at which its formulas are
+compared with the brute-force oracle. Only a required variant fails a check
+by disagreeing with the oracle; the literal paper readings are findings.
 """
 
 from __future__ import annotations
 
 import datetime
 import json
-from typing import Any, Optional
+import os
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
-from sumrank.variants import VARIANTS, Variant
+from sumrank import intersections, volumes
+from sumrank.compositions import RankProfile
+
+
+@dataclass(frozen=True)
+class Variant:
+    """A named formula; only a required one fails a check by disagreeing.
+
+    An intersection variant's formula takes (p, u, s, d) with radii u and s,
+    where d is the per-block center distance profile or, for a literal
+    reading, its scalar sum. `keys` are the query fields of its `intersect`
+    records, and `harness_keys` those of its `verify` records where they differ.
+    """
+
+    name: str
+    formula: Callable[..., int]
+    required: bool = False
+    keys: tuple[str, ...] = ()
+    harness_keys: Optional[tuple[str, ...]] = None
+
+    @property
+    def literal(self) -> bool:
+        """Whether the formula takes the scalar center distance, not the profile."""
+        return self.name.endswith("-literal")
+
+    def query(
+        self, u: int, s: int, delta: int, profile: Optional[RankProfile], harness: bool
+    ) -> dict[str, Any]:
+        """The record's query fields, with gamma = u and t = delta."""
+        values = {"u": u, "s": s, "gamma": u, "t": delta, "delta": delta,
+                  "profile": None if profile is None else list(profile)}
+        keys = self.harness_keys if harness and self.harness_keys else self.keys
+        return {key: values[key] for key in keys}
+
+
+@dataclass(frozen=True)
+class Question:
+    """An `intersect --variant` choice: its variants and their oracle radii.
+
+    For requested radii (u, s) at center distance delta, `radii(u, s, delta)`
+    gives the radii at which formulas and oracle are compared, or None where
+    the question does not apply; `condition` says what it requires.
+    """
+
+    variants: tuple[Variant, ...]
+    radii: Callable[[int, int, int], Optional[tuple[int, int]]] = lambda u, s, delta: (u, s)
+    condition: str = ""
+
+    @property
+    def name(self) -> str:
+        """The choice's name: the stem its variants' names share."""
+        return os.path.commonprefix([v.name for v in self.variants]).rstrip("-")
+
+    def sweep(self, max_weight: int, delta: int) -> list[tuple[int, int]]:
+        """The distinct oracle radii of every request with radii up to max_weight."""
+        grid = range(max_weight + 1)
+        radii = (self.radii(u, s, delta) for u in grid for s in grid)
+        return [pair for pair in dict.fromkeys(radii) if pair is not None]
+
+
+SPHERE = Variant("sphere", lambda p, t: volumes.sphere_volume(p, t), required=True)
+BALL = Variant("ball", lambda p, t: volumes.ball_volume(p, t), required=True)
+LEMMA8 = Variant("lemma8", lambda n, m, r, q: intersections.rank1_additive_pairs(n, m, r, q),
+                 required=True)
+
+EXACT = Variant("exact", lambda p, u, s, d: intersections.sumrank_intersection_exact(
+                    intersections.IntersectionQuery(p=p, u=u, s=s, tprofile=d)),
+                required=True, keys=("u", "s", "profile"))
+
+QUESTIONS = {question.name: question for question in (
+    Question((EXACT,)),
+    Question((
+        Variant("thm1-literal", lambda p, u, s, t: intersections.theorem1_literal(p, u, s, t),
+                keys=("u", "s", "t"), harness_keys=("u", "s", "t", "profile")),
+    ), radii=lambda u, s, delta: (u, s) if u + s >= delta else None,
+        condition="thm1 requires u + s >= t"),
+    # the published radius-1 sphere term overcounts for ell >= 2, so both
+    # theorem 2 readings are findings
+    Question((
+        Variant("thm2-profile", lambda p, u, s, d: intersections.theorem2_per_profile(p, d),
+                keys=("delta", "profile")),
+        Variant("thm2-literal", lambda p, u, s, t: intersections.theorem2_literal(p, t),
+                keys=("delta",), harness_keys=("delta", "profile")),
+    ), radii=lambda u, s, delta: (delta, 1) if delta >= 1 else None,
+        condition="thm2 requires center distance delta >= 1"),
+    Question((
+        Variant("thm3-aggregate", lambda p, u, s, d: intersections.theorem3_aggregate(p, u, d),
+                required=True, keys=("gamma", "delta", "profile"),
+                harness_keys=("gamma", "profile")),
+        Variant("thm3-literal", lambda p, u, s, t: intersections.theorem3_literal(p, u, t),
+                keys=("gamma", "delta"), harness_keys=("gamma", "delta", "profile")),
+    ), radii=lambda u, s, delta: (u, delta - u) if u <= delta else None,
+        condition="thm3 requires 0 <= u (= gamma) <= delta"),
+)}
+
+VARIANTS = (SPHERE, BALL, *(v for question in QUESTIONS.values() for v in question.variants),
+            LEMMA8)
 
 REPORT_SCHEMA: dict[str, Any] = {
     "type": "object",

@@ -78,9 +78,9 @@ def _weights_up_to(p: Params, top: int) -> tuple[int, ...]:
     return tuple(dist)
 
 
-# A distribution can take megabytes (1.1 MB at (2,26,26,26)), and the CLI asks
-# each one once, so the cache keeps only the most recent ones.
-_DISTRIBUTION_CACHE_SIZE = 16
+# A distribution can take megabytes (1.1 MB at (2,26,26,26)), and only
+# `volume --kind distribution` reads it, once, so the cache keeps the last one.
+_DISTRIBUTION_CACHE_SIZE = 1
 
 
 @lru_cache(maxsize=_DISTRIBUTION_CACHE_SIZE)

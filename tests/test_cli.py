@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from pathlib import Path
 
@@ -166,6 +167,19 @@ def test_invalid_params_exit_2(capsys):
     captured = capsys.readouterr()
     assert code == EXIT_BAD_ARGS
     assert "q" in captured.err
+
+
+def test_uncertifiable_huge_q_exits_2_quickly():
+    # 2^61 - 1 is prime, but trial division would need hours to prove it
+    argv = ["volume", "--q", "2305843009213693951", "--m", "1", "--eta", "1", "--ell", "1",
+            "--kind", "sphere", "--t", "0"]
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_BAD_ARGS
+    assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: ")
 
 
 def test_bad_profile_exit_2(capsys):

@@ -196,6 +196,20 @@ class TestTheorem1Literal:
         assert theorem1_literal(P222, 3, 2, 1) == _theorem1_printed(P222, 3, 2, 1)
         assert calls == [(1, P222.ell, P222.mu)]
 
+    def test_one_block_dp_per_partition_of_t(self, monkeypatch):
+        # at (2,2,2,3) t = 3 has 7 compositions but 2 partitions: 1+1+1 and 0+1+2
+        p = Params(2, 2, 2, 3)
+        calls = []
+        coefficient = intersections._coefficient
+
+        def recording(tables, u, s):
+            calls.append(len(tables))
+            return coefficient(tables, u, s)
+
+        monkeypatch.setattr(intersections, "_coefficient", recording)
+        assert theorem1_literal(p, 3, 3, 3) == _theorem1_printed(p, 3, 3, 3)
+        assert calls == [3, 3]
+
     @pytest.mark.parametrize("cell, radius, expected", [
         ((2, 4, 4, 4), 8, 24132412434850654),
         # cross-checked by a 3-D generating function over I, keyed by (u, s, t)

@@ -1,4 +1,5 @@
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -8,11 +9,13 @@ import pytest
 
 import sumrank
 from sumrank import intersections, qkit
+from sumrank.oracle import check_prime_field
 from sumrank.qkit import (
     gaussian_binomial,
     is_prime_power,
     num_matrices_rank,
     q_krawtchouk,
+    smallest_prime_factor,
 )
 
 
@@ -91,6 +94,37 @@ def test_is_prime_power():
     ]
 
 
+def test_is_prime_power_matches_a_sieve_below_1e5():
+    limit = 10**5
+    least = list(range(limit))
+    for d in range(2, math.isqrt(limit) + 1):
+        if least[d] == d:
+            for multiple in range(d * d, limit, d):
+                least[multiple] = min(least[multiple], d)
+    expected = []
+    for q in range(2, limit):
+        rest = q
+        while rest % least[q] == 0:
+            rest //= least[q]
+        if rest == 1:
+            expected.append(q)
+    assert [q for q in range(limit) if is_prime_power(q)] == expected
+
+
+def test_large_prime_powers_are_certified_by_a_small_factor():
+    assert is_prime_power(2**64) and is_prime_power(3**40)
+    assert not is_prime_power(2**64 * 3)
+    # up to bound^2 trial division up to the bound still proves primality
+    assert is_prime_power(999999999989)
+
+
+@pytest.mark.parametrize("q", [2**61 - 1, 1000003 * 1000033])
+def test_uncertifiable_q_is_refused_not_reported_prime(q):
+    for check in (is_prime_power, smallest_prime_factor, check_prime_field):
+        with pytest.raises(qkit.InputError, match=f"no factor up to {qkit.TRIAL_DIVISION_BOUND}"):
+            check(q)
+
+
 def test_internal_inconsistency_error_is_one_class():
     assert intersections.InternalInconsistencyError is qkit.InternalInconsistencyError
     assert sumrank.InternalInconsistencyError is qkit.InternalInconsistencyError
@@ -137,6 +171,20 @@ def test_package_source_opens_files_only_in_cli_main():
         for owner in _open_calls(ast.parse(path.read_text()), None)
     ]
     assert owners == [("cli.py", "main")]
+
+
+def test_only_cli_assigns_exit_codes():
+    # the exit-code rule has one home, beside the handlers that return the codes
+    owners = {
+        path.name
+        for path in Path(sumrank.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name) and name.id.startswith("EXIT_")
+    }
+    assert owners == {"cli.py"}
 
 
 def test_input_error_is_the_one_refusal_class():

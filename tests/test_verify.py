@@ -2,8 +2,7 @@ import hashlib
 import re
 
 from sumrank import oracle
-from sumrank.cli import EXIT_OK, main
-from sumrank.verify import run_verification
+from sumrank.cli import EXIT_OK, main, run_verification
 from sumrank.volumes import Params
 
 # sha256 of the default `verify` JSON report, timestamp blanked, as the
