@@ -15,6 +15,7 @@ from sumrank.compositions import (
     count_uniform,
     count_upper_bound,
     enumerate_bounded,
+    enumerate_partitions,
     enumerate_uniform,
 )
 from sumrank.volumes import (
@@ -47,6 +48,7 @@ __all__ = [
     "count_uniform",
     "count_upper_bound",
     "enumerate_bounded",
+    "enumerate_partitions",
     "enumerate_uniform",
     "gaussian_binomial",
     "InputError",

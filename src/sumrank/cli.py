@@ -137,17 +137,18 @@ def cmd_intersect(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 
     if args.profile is None and args.t is None:
         raise InputError("either --profile or --t is required")
+    question = QUESTIONS[args.variant]
+    literal_only = all(variant.literal for variant in question.variants)
     profiles = [] if args.profile is None else [_parse_profile(args.profile, p)]
     if args.t is not None:
         if args.t < 0 or args.t > p.max_weight:
             raise InputError(f"t must lie in 0..{p.max_weight}")
-        if not profiles:
-            profiles = list(enumerate_uniform(args.t, p.ell, p.mu))
-        elif sum(profiles[0]) != args.t:
+        if profiles and sum(profiles[0]) != args.t:
             raise InputError(f"--profile sums to {sum(profiles[0])} but --t is {args.t}")
-
-    question = QUESTIONS[args.variant]
-    if args.t is None and all(variant.literal for variant in question.variants):
+        if not profiles and not literal_only:
+            # only a per-profile variant reads every composition of --t
+            profiles = list(enumerate_uniform(args.t, p.ell, p.mu))
+    elif literal_only:
         raise InputError(f"--variant {args.variant} requires a scalar --t")
     for variant in question.variants:
         if variant.literal:

@@ -3,12 +3,14 @@
 A rank profile is a length-ell tuple of nonnegative parts summing to t,
 each part capped by a uniform bound mu or a per-part bound. Enumeration is
 streaming and lexicographic; the closed-form count uses inclusion-exclusion
-over the uniform bound.
+over the uniform bound. The partitions of t (the sorted compositions) are
+enumerated on their own, each with the number of compositions it stands for.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Iterator, Sequence
 
 from sumrank.qkit import InputError
@@ -46,6 +48,34 @@ def enumerate_uniform(t: int, ell: int, mu: int) -> Iterator[RankProfile]:
     if ell < 1:
         raise InputError("number of parts must be positive")
     return enumerate_bounded(t, (mu,) * ell)
+
+
+def enumerate_partitions(t: int, ell: int, mu: int) -> Iterator[tuple[RankProfile, int]]:
+    """Yield each nonincreasing composition of t into ell parts <= mu once, with its count.
+
+    The count is the number of compositions that sort to it, the multinomial
+    ell! / prod(mult!) over the multiplicities of its parts. Partitions come
+    in reverse lexicographic order, and no composition is visited.
+    """
+    if t < 0:
+        raise InputError("total must be nonnegative")
+    if ell < 1:
+        raise InputError("number of parts must be positive")
+
+    def rec(slots: int, remaining: int, cap: int) -> Iterator[RankProfile]:
+        if slots == 0:
+            if remaining == 0:
+                yield ()
+            return
+        # the first of the remaining parts is the largest, so at least their mean
+        for part in range(min(cap, remaining), -(-remaining // slots) - 1, -1):
+            for rest in rec(slots - 1, remaining - part, part):
+                yield (part,) + rest
+
+    return (
+        (parts, math.factorial(ell) // math.prod(map(math.factorial, Counter(parts).values())))
+        for parts in rec(ell, t, mu)
+    )
 
 
 def count_uniform(t: int, ell: int, mu: int) -> int:

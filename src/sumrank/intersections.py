@@ -10,20 +10,20 @@ intersection volume is computed block by block for a given distance profile.
 
 The published closed-form expressions (the general triple-partition sum and
 the two special cases) are the *_literal functions: the printed sums, evaluated
-as coefficients of the exact block DP; I reads its running-sum table of J.
+as coefficients of the exact block DP; I reads its running-sum table of J, and
+Theorem 3's sum over the splits of gamma is a coefficient of the same DP.
 Where their printed conventions are ambiguous, both readings exist side by
 side so a verification run can compare each against brute force.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import prod
 
-from sumrank.compositions import RankProfile, enumerate_bounded, enumerate_uniform
+from sumrank.compositions import RankProfile, enumerate_partitions
 from sumrank.qkit import InternalInconsistencyError  # also raised here; kept importable
 from sumrank.qkit import InputError, gaussian_binomial, num_matrices_rank
 from sumrank.volumes import Params
@@ -218,9 +218,8 @@ def theorem1_literal(p: Params, u: int, s: int, t: int) -> int:
         raise InputError("radii and distance must be nonnegative")
     if u + s < t:
         raise InputError("requires u + s >= t")
-    partitions = Counter(tuple(sorted(tvec)) for tvec in enumerate_uniform(t, p.ell, p.mu))
     return sum(count * _coefficient([_i_table(ti, p.eta, p.m, p.q) for ti in tvec], u, s)
-               for tvec, count in partitions.items())
+               for tvec, count in enumerate_partitions(t, p.ell, p.mu))
 
 
 def rank1_additive_pairs(n: int, m: int, r: int, q: int) -> int:
@@ -276,41 +275,42 @@ def _lemma8_column(eta: int, m: int, q: int) -> Table:
 
 
 def theorem3_per_profile(p: Params, gprofile: RankProfile, dprofile: RankProfile) -> int:
-    """Per-block product of ordered direct-sum pair counts.
+    """Per-block product of ordered direct-sum pair counts (see _split_triangles).
 
-    prod_i q^{g_i (d_i - g_i)} [d_i choose g_i]_q, requiring g_i <= d_i <= mu.
-    This counts the vectors at distance exactly sum g_i from x and exactly
-    sum (d_i - g_i) from y, per the block-wise subspace-splitting argument.
+    prod_i pairs(d_i, g_i), requiring g_i <= d_i <= mu. This counts the vectors
+    at distance exactly sum g_i from x and exactly sum (d_i - g_i) from y, per
+    the block-wise subspace-splitting argument.
     """
     p.check_profile(dprofile)
     if len(gprofile) != p.ell:
         raise InputError("profile length mismatch")
     if any(gi < 0 or gi > di for gi, di in zip(gprofile, dprofile)):
         raise InputError("requires 0 <= gamma_i <= delta_i for every block")
-    return prod(_direct_sum_pairs(di, gi, p.q) for gi, di in zip(gprofile, dprofile))
+    pairs, _ = _split_triangles(p.mu, p.q)
+    return prod(pairs[gi][di - gi] for gi, di in zip(gprofile, dprofile))
 
 
 def theorem3_aggregate(p: Params, gamma: int, dprofile: RankProfile) -> int:
     """|B(x, gamma) intersect B(y, delta - gamma)| for per-block distances dprofile.
 
-    Sums the per-block product over all splits of gamma bounded by dprofile.
+    The per-block product summed over all splits of gamma bounded by dprofile:
+    the x^gamma coefficient of the product of the blocks' columns of pair
+    counts, block i's column being the anti-diagonal d_i of the pair triangle.
     """
     p.check_profile(dprofile)
     if not 0 <= gamma <= sum(dprofile):
         raise InputError("requires 0 <= gamma <= delta")
-    return sum(
-        theorem3_per_profile(p, gvec, dprofile)
-        for gvec in enumerate_bounded(gamma, dprofile)
-    )
+    pairs, _ = _split_triangles(p.mu, p.q)
+    return _coefficient([tuple((pairs[g][d - g],) for g in range(d + 1)) for d in dprofile],
+                        gamma, 0)
 
 
 def theorem3_literal(p: Params, gamma: int, delta: int) -> int:
     """The published double-partition expression with its inner block sum, as printed.
 
-    sum over compositions of delta, splits of gamma, of
-    sum_i q^{g_i (d_i - g_i)} [d_i choose g_i]_q  (sum over blocks, not product).
-    That is ell times the x^gamma y^(delta - gamma) coefficient of a block's
-    triangle of pairs (g, h = d - g), g + h <= mu, times ell - 1 of ones.
+    sum_i pairs(d_i, g_i) (a sum over blocks, not a product) summed over the
+    compositions d of delta and splits g of gamma: ell times the x^gamma
+    y^(delta - gamma) coefficient of a block's pair triangle times ell - 1 of ones.
     """
     if not 0 <= gamma <= delta:
         raise InputError("requires 0 <= gamma <= delta")
@@ -320,13 +320,12 @@ def theorem3_literal(p: Params, gamma: int, delta: int) -> int:
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _split_triangles(mu: int, q: int) -> tuple[Table, Table]:
-    """A block's triangles of pair counts and of ones at (g, h = d - g), g + h <= mu."""
+    """A block's triangles of pairs(d, g) and of ones at (g, h = d - g), g + h <= mu.
+
+    pairs(d, g) = q^{g(d-g)} [d choose g]_q counts the ordered direct-sum pairs
+    (A, B) of F_q^d with dim A = g.
+    """
     cells = range(mu + 1)
-    pairs = tuple(tuple(_direct_sum_pairs(g + h, g, q) if g + h <= mu else 0 for h in cells)
-                  for g in cells)
+    pairs = tuple(tuple(q ** (g * h) * gaussian_binomial(g + h, g, q) if g + h <= mu else 0
+                        for h in cells) for g in cells)
     return pairs, tuple(tuple(int(g + h <= mu) for h in cells) for g in cells)
-
-
-def _direct_sum_pairs(d: int, g: int, q: int) -> int:
-    """Ordered direct-sum pairs (A, B) of F_q^d with dim A = g: q^{g(d-g)} [d choose g]_q."""
-    return q ** (g * (d - g)) * gaussian_binomial(d, g, q)

@@ -1,11 +1,15 @@
+from collections import Counter
+
 import pytest
 
 from sumrank.compositions import (
     count_uniform,
     count_upper_bound,
     enumerate_bounded,
+    enumerate_partitions,
     enumerate_uniform,
 )
+from sumrank.qkit import InputError
 
 
 def test_enumerate_uniform_examples():
@@ -60,3 +64,28 @@ def test_bounded_with_uniform_bounds_agrees():
 def test_enumeration_is_lazy():
     it = enumerate_uniform(29, 6, 5)
     assert next(it) == (4, 5, 5, 5, 5, 5)
+
+
+def test_enumerate_partitions_examples():
+    assert list(enumerate_partitions(2, 2, 2)) == [((2, 0), 2), ((1, 1), 1)]
+    assert list(enumerate_partitions(3, 3, 2)) == [((2, 1, 0), 6), ((1, 1, 1), 1)]
+    assert list(enumerate_partitions(0, 4, 0)) == [((0, 0, 0, 0), 1)]
+    assert list(enumerate_partitions(5, 2, 2)) == []
+
+
+@pytest.mark.parametrize("ell", range(1, 6))
+@pytest.mark.parametrize("mu", range(5))
+def test_partitions_are_the_sorted_compositions_with_their_counts(ell, mu):
+    for t in range(ell * mu + 2):
+        partitions = list(enumerate_partitions(t, ell, mu))
+        sorted_compositions = Counter(
+            tuple(sorted(c, reverse=True)) for c in enumerate_uniform(t, ell, mu))
+        assert len({parts for parts, _ in partitions}) == len(partitions)
+        assert dict(partitions) == sorted_compositions
+        assert sum(count for _, count in partitions) == count_uniform(t, ell, mu)
+
+
+@pytest.mark.parametrize("t, ell", [(-1, 2), (2, 0), (0, -1)])
+def test_enumerate_partitions_refuses_a_negative_total_or_no_parts(t, ell):
+    with pytest.raises(InputError):
+        enumerate_partitions(t, ell, 2)

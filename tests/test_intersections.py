@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import math
 import re
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sumrank import intersections, oracle
+from sumrank import compositions, intersections, oracle
 from sumrank.compositions import enumerate_bounded, enumerate_uniform
 from sumrank.intersections import (
     IntersectionQuery,
@@ -185,15 +186,18 @@ class TestTheorem1Literal:
         with pytest.raises(InputError, match="nonnegative"):
             theorem1_literal(P222, *args)
 
-    def test_enumerates_the_compositions_of_t_once(self, monkeypatch):
+    def test_walks_no_composition_of_t(self, monkeypatch):
+        expected = _theorem1_printed(P222, 3, 2, 1)
+        _forbid_composition_walks(monkeypatch)
         calls = []
+        partitions = compositions.enumerate_partitions
 
         def recording(total, ell, mu):
             calls.append((total, ell, mu))
-            return enumerate_uniform(total, ell, mu)
+            return partitions(total, ell, mu)
 
-        monkeypatch.setattr(intersections, "enumerate_uniform", recording)
-        assert theorem1_literal(P222, 3, 2, 1) == _theorem1_printed(P222, 3, 2, 1)
+        monkeypatch.setattr(intersections, "enumerate_partitions", recording)
+        assert theorem1_literal(P222, 3, 2, 1) == expected
         assert calls == [(1, P222.ell, P222.mu)]
 
     def test_one_block_dp_per_partition_of_t(self, monkeypatch):
@@ -214,6 +218,8 @@ class TestTheorem1Literal:
         ((2, 4, 4, 4), 8, 24132412434850654),
         # cross-checked by a 3-D generating function over I, keyed by (u, s, t)
         ((2, 3, 3, 6), 9, 16090611222730880),
+        # one partition of t, cross-checked once by grouping its 2,704,156 compositions
+        ((2, 1, 1, 24), 12, 8836587973168258576),
     ])
     def test_pinned_values_where_the_printed_sum_is_too_slow(self, cell, radius, expected):
         assert theorem1_literal(Params(*cell), radius, radius, radius) == expected
@@ -294,6 +300,15 @@ class TestTheorem3:
                 )
                 assert agg == sumrank_intersection_exact(query)
                 assert agg == oracle.count_intersection(p, gamma, delta - gamma, profile)
+
+    def test_pinned_value_where_the_split_walk_is_too_slow(self):
+        # 2,306,025 splits of gamma; cross-checked once against _theorem3_split_walk
+        p, profile = Params(2, 8, 8, 8), (8,) * 8
+        expected = int("53260740124187954496024823706322199765511300552450484691490763856"
+                       "16360275304775750")
+        assert theorem3_aggregate(p, 32, profile) == expected
+        query = IntersectionQuery(p=p, u=32, s=32, tprofile=profile)
+        assert sumrank_intersection_exact(query) == expected
 
     def test_literal_inner_sum_disagrees_for_two_blocks(self):
         # the printed expression sums over blocks where its own proof multiplies
@@ -517,13 +532,23 @@ def _theorem2_printed(p, delta):
     )
 
 
+def _direct_sum_pairs(q, d, g):
+    """Ordered direct-sum pairs (A, B) of F_q^d with dim A = g."""
+    return q ** (g * (d - g)) * gaussian_binomial(d, g, q)
+
+
+def _theorem3_split_walk(p, gamma, dprofile):
+    """prod_i pairs(d_i, g_i) summed over every split g of gamma bounded by dprofile."""
+    return sum(math.prod(_direct_sum_pairs(p.q, di, gi) for gi, di in zip(gvec, dprofile))
+               for gvec in enumerate_bounded(gamma, dprofile))
+
+
 def _theorem3_printed(p, gamma, delta):
     """sum_i q^{g_i (d_i - g_i)} [d_i choose g_i]_q over compositions d of delta, splits g."""
     total = 0
     for dvec in enumerate_uniform(delta, p.ell, p.mu):
         for gvec in enumerate_bounded(gamma, dvec):
-            total += sum(p.q ** (gi * (di - gi)) * gaussian_binomial(di, gi, p.q)
-                         for gi, di in zip(gvec, dvec))
+            total += sum(_direct_sum_pairs(p.q, di, gi) for gi, di in zip(gvec, dvec))
     return total
 
 
@@ -553,6 +578,67 @@ def test_theorem3_literal_is_the_printed_sum(p, data):
     delta = data.draw(st.integers(0, p.max_weight + 1))
     gamma = data.draw(st.integers(0, delta))
     assert theorem3_literal(p, gamma, delta) == _theorem3_printed(p, gamma, delta)
+
+
+@st.composite
+def _theorem3_queries(draw, max_mu, max_ell):
+    """(p, gamma, profile) with q up to 9 (non-prime q too), mu <= max_mu, ell <= max_ell."""
+    p = Params(q=draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9])), m=draw(st.integers(1, max_mu)),
+               eta=draw(st.integers(1, max_mu)), ell=draw(st.integers(1, max_ell)))
+    profile = tuple(draw(st.lists(st.integers(0, p.mu), min_size=p.ell, max_size=p.ell)))
+    return p, draw(st.integers(0, sum(profile))), profile
+
+
+@given(_theorem3_queries(max_mu=4, max_ell=4))
+def test_theorem3_aggregate_is_the_split_walk(query):
+    p, gamma, profile = query
+    assert theorem3_aggregate(p, gamma, profile) == _theorem3_split_walk(p, gamma, profile)
+    for gvec in enumerate_bounded(gamma, profile):
+        assert theorem3_per_profile(p, gvec, profile) == math.prod(
+            _direct_sum_pairs(p.q, di, gi) for gi, di in zip(gvec, profile))
+
+
+@given(_theorem3_queries(max_mu=6, max_ell=5))
+def test_theorem3_aggregate_is_the_exact_count_between_touching_balls(query):
+    # |B(x, gamma) ∩ B(y, delta - gamma)| past the oracle's reach, against the J tables
+    p, gamma, profile = query
+    exact = IntersectionQuery(p=p, u=gamma, s=sum(profile) - gamma, tprofile=profile)
+    assert theorem3_aggregate(p, gamma, profile) == sumrank_intersection_exact(exact)
+
+
+def _forbid_composition_walks(monkeypatch):
+    """Make every composition walker raise, wherever a formula could reach it."""
+    def boom(*args, **kwargs):
+        raise AssertionError("a formula walked compositions or splits")
+
+    for module in (intersections, compositions):
+        for name in ("enumerate_bounded", "enumerate_uniform"):
+            monkeypatch.setattr(module, name, boom, raising=False)
+
+
+def test_no_formula_walks_compositions_or_splits(monkeypatch):
+    p = Params(2, 2, 2, 3)
+    formulas = {
+        "rank_sphere_intersection_J": lambda: rank_sphere_intersection_J(1, 2, 1, 2, 2, 2),
+        "rank_ball_intersection_I": lambda: rank_ball_intersection_I(1, 2, 1, 2, 2, 2),
+        "sumrank_intersection_exact": lambda: sumrank_intersection_exact(
+            IntersectionQuery(p=p, u=3, s=2, tprofile=(2, 1, 0))),
+        "theorem1_literal": lambda: theorem1_literal(p, 3, 3, 3),
+        "rank1_additive_pairs": lambda: rank1_additive_pairs(2, 2, 1, 2),
+        "theorem2_per_profile": lambda: theorem2_per_profile(p, (2, 1, 0)),
+        "theorem2_literal": lambda: theorem2_literal(p, 3),
+        "theorem3_per_profile": lambda: theorem3_per_profile(p, (1, 1, 0), (2, 1, 0)),
+        "theorem3_aggregate": lambda: theorem3_aggregate(p, 2, (2, 1, 1)),
+        "theorem3_literal": lambda: theorem3_literal(p, 2, 4),
+    }
+    public = {name for name, obj in vars(intersections).items()
+              if inspect.isfunction(obj) and obj.__module__ == intersections.__name__
+              and not name.startswith("_")}
+    assert public == set(formulas)
+    expected = {name: formula() for name, formula in formulas.items()}
+    _clear_kernel_caches()
+    _forbid_composition_walks(monkeypatch)
+    assert {name: formula() for name, formula in formulas.items()} == expected
 
 
 KERNELS = (intersections._j_rows, intersections._j_table, intersections._i_table,
