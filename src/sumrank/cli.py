@@ -150,6 +150,8 @@ def cmd_intersect(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
             profiles = list(enumerate_uniform(args.t, p.ell, p.mu))
     elif literal_only:
         raise InputError(f"--variant {args.variant} requires a scalar --t")
+    # each per-profile variant enumerates the whole space once per profile
+    passes = len(profiles) * sum(not variant.literal for variant in question.variants)
     for variant in question.variants:
         if variant.literal:
             # a literal reading answers the scalar distance --t, once
@@ -163,6 +165,11 @@ def cmd_intersect(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
             u, s = radii
             oracle_value = None
             if args.oracle and profile is not None:
+                # the budget bounds all passes together; it is checked where the
+                # oracle checks a single pass, so a non-prime q is refused first
+                oracle.check_prime_field(p.q)
+                if passes * p.space_size > args.budget:
+                    raise oracle.OracleBudgetError(passes * p.space_size, args.budget)
                 oracle_value = oracle.count_intersection(p, u, s, profile, budget=args.budget)
             value = variant.formula(p, u, s, delta if profile is None else profile)
             query = variant.query(u, s, delta, profile, harness=False)
@@ -205,9 +212,12 @@ def run_verification(
     for q, m, eta, ell in sorted(grid):
         p = Params(q=q, m=m, eta=eta, ell=ell)
         cell = asdict(p)
-        if p.space_size > budget:
+        # one enumeration per distance profile, (mu + 1)^ell of them; a space
+        # over budget on its own is reported by its size, as the oracle does
+        required = p.space_size * (1 if p.space_size > budget else (p.mu + 1) ** p.ell)
+        if required > budget:
             # Decimal prints counts past the interpreter's int-to-str digit limit
-            skipped.append({"cell": cell, "required_budget": str(Decimal(p.space_size))})
+            skipped.append({"cell": cell, "required_budget": str(Decimal(required))})
             continue
 
         def add(variant: Variant, query: dict[str, Any], value: int, oracle_value: int) -> None:

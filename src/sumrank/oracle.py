@@ -1,7 +1,7 @@
 """Brute-force ground truth over tiny prime fields.
 
 Vectors of F_{q^m}^n are enumerated as ell matrices of size m x eta with
-entries in F_q (q prime), ranks are computed by Gaussian elimination mod q,
+entries in F_q (q prime), ranks are computed by forward elimination mod q,
 and one pass over the whole space tallies every vector's distances to two
 centers; sphere, ball and intersection counts are read off that tally.
 Enumeration cost is q^{m*n}, so a hard budget guards every exhaustive count.
@@ -46,22 +46,21 @@ def _check_budget(required: int, budget: int) -> None:
 
 
 def matrix_rank(mat: Matrix, q: int) -> int:
-    """Rank of a matrix over F_q by row reduction; q must be prime (not checked)."""
+    """Rank of a matrix over F_q, its count of pivots; q must be prime (not checked).
+
+    Forward elimination: each pivot clears only the rows below it.
+    """
     rows = [list(r) for r in mat]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
     rank = 0
-    for col in range(ncols):
+    for col in range(len(rows[0]) if rows else 0):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col] % q), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         inv = pow(rows[rank][col], -1, q)
-        rows[rank] = [(x * inv) % q for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] % q:
-                factor = rows[r][col]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] * inv % q
+            if factor:
                 rows[r] = [(a - factor * b) % q for a, b in zip(rows[r], rows[rank])]
         rank += 1
         if rank == len(rows):
@@ -93,11 +92,7 @@ def _subtract(a: Matrix, b: Matrix, q: int) -> Matrix:
 
 def _all_block_matrices(p: Params) -> list[Matrix]:
     """Every m x eta matrix over F_q, enumerated as mixed-radix counters."""
-    entries = p.m * p.eta
-    out = []
-    for flat in itertools.product(range(p.q), repeat=entries):
-        out.append(tuple(flat[r * p.eta : (r + 1) * p.eta] for r in range(p.m)))
-    return out
+    return list(itertools.product(itertools.product(range(p.q), repeat=p.eta), repeat=p.m))
 
 
 def distance_histogram(
@@ -113,14 +108,13 @@ def distance_histogram(
     check_prime_field(p.q)
     _check_budget(p.space_size, budget)
     y = canonical_centers(p, profile)
-    mats = _all_block_matrices(p)
-    dist_x = [matrix_rank(mat, p.q) for mat in mats]
+    # each block matrix is ranked once: subtracting a center block permutes them
+    rank = {mat: matrix_rank(mat, p.q) for mat in _all_block_matrices(p)}
     stride = p.max_weight + 1
     # block code = (rank distance to x) * stride + (rank distance to y); the
     # codes of a vector's blocks sum to a * stride + b, as b < stride
     codes = [
-        [a * stride + matrix_rank(_subtract(mat, yblock, p.q), p.q)
-         for mat, a in zip(mats, dist_x)]
+        [a * stride + rank[_subtract(mat, yblock, p.q)] for mat, a in rank.items()]
         for yblock in y
     ]
     tally = Counter(map(sum, itertools.product(*codes)))
@@ -175,25 +169,17 @@ def count_rank1_additive(
 
 
 def _span(vectors: list[tuple[int, ...]], q: int) -> frozenset[tuple[int, ...]]:
-    dim_total = len(vectors[0])
-    out = set()
-    for coeffs in itertools.product(range(q), repeat=len(vectors)):
-        v = tuple(
-            sum(c * vec[i] for c, vec in zip(coeffs, vectors)) % q
-            for i in range(dim_total)
-        )
-        out.add(v)
-    return frozenset(out)
+    return frozenset(
+        tuple(sum(c * x for c, x in zip(coeffs, column)) % q for column in zip(*vectors))
+        for coeffs in itertools.product(range(q), repeat=len(vectors))
+    )
 
 
 def _all_subspaces(dim_total: int, d: int, q: int) -> set[frozenset[tuple[int, ...]]]:
     """All d-dimensional F_q-subspaces of F_q^{dim_total}, by span enumeration."""
-    zero = tuple(0 for _ in range(dim_total))
     if d == 0:
-        return {frozenset({zero})}
-    nonzero = [
-        v for v in itertools.product(range(q), repeat=dim_total) if any(v)
-    ]
+        return {frozenset({(0,) * dim_total})}
+    nonzero = [v for v in itertools.product(range(q), repeat=dim_total) if any(v)]
     spaces = set()
     for combo in itertools.combinations(nonzero, d):
         span = _span(list(combo), q)
@@ -217,14 +203,10 @@ def els_pair_count_check(
     if k > 4:
         raise InputError("ambient dimension capped at 4 for the subspace oracle")
     _check_budget(q**k, budget)
-    zero = tuple(0 for _ in range(k))
-    subspaces_a = _all_subspaces(k, a, q)
+    trivial = {(0,) * k}
     subspaces_b = _all_subspaces(k, k - a, q)
     enumerated = sum(
-        1
-        for sa in subspaces_a
-        for sb in subspaces_b
-        if sa & sb == {zero}
+        1 for sa in _all_subspaces(k, a, q) for sb in subspaces_b if sa & sb == trivial
     )
     closed_form = q ** (a * (k - a)) * gaussian_binomial(k, a, q)
     return enumerated, closed_form

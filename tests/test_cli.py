@@ -216,6 +216,66 @@ def test_verify_budget_skip_exit_3(capsys):
     assert all(s["required_budget"] == "16" for s in report["skipped"])
 
 
+def _timed_main(capsys, *args):
+    start = time.perf_counter()
+    code = main(list(args))
+    elapsed = time.perf_counter() - start
+    return code, capsys.readouterr(), elapsed
+
+
+@pytest.mark.parametrize("ell, required", [(16, 2**32), (24, 2**48)])
+def test_verify_budget_covers_every_profile_of_a_cell(capsys, ell, required):
+    # (mu + 1)^ell profiles, one enumeration of 2^ell vectors each
+    code, captured, elapsed = _timed_main(capsys, "verify", "--grid", f"2,1,1,{ell}")
+    assert elapsed < 1.0
+    assert code == EXIT_BUDGET
+    report = json.loads(captured.out)
+    # only the rank-1 additivity checks, which run outside the grid, are left
+    assert {rec["formula_variant"] for rec in report["records"]} == {"lemma8"}
+    assert report["paper_variant_discrepancies"] == []
+    assert report["skipped"] == [
+        {"cell": {"q": 2, "m": 1, "eta": 1, "ell": ell}, "required_budget": str(required)}
+    ]
+
+
+def test_verify_budget_boundary_is_the_total_over_profiles(capsys):
+    # (2,2,2,1): 3 profiles over 16 vectors
+    code, report = run_json(capsys, "verify", "--grid", "2,2,2,1", "--budget", "48")
+    assert code == EXIT_OK and report["skipped"] == []
+    code, report = run_json(capsys, "verify", "--grid", "2,2,2,1", "--budget", "47")
+    assert code == EXIT_BUDGET
+    assert report["skipped"] == [
+        {"cell": {"q": 2, "m": 2, "eta": 2, "ell": 1}, "required_budget": "48"}
+    ]
+
+
+def test_intersect_oracle_budget_covers_every_composition(capsys):
+    # 12,870 compositions of 8 into 16 parts of at most 1, over 2^16 vectors each
+    code, captured, elapsed = _timed_main(
+        capsys, "intersect", "--q", "2", "--m", "1", "--eta", "1", "--ell", "16",
+        "--u", "1", "--s", "1", "--t", "8", "--oracle")
+    assert elapsed < 1.0
+    assert code == EXIT_BUDGET
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: enumeration needs {12870 * 2**16} candidates, budget is 16777216\n")
+
+
+def test_intersect_oracle_budget_boundary(capsys):
+    # (0,2), (1,1) and (2,0) over 256 vectors
+    argv = ["intersect", *PARAMS_222, "--u", "1", "--s", "1", "--t", "2", "--oracle"]
+    code, report = run_json(capsys, *argv, "--budget", "768")
+    assert code == EXIT_OK and len(report["records"]) == 3
+    code, captured, _ = _timed_main(capsys, *argv, "--budget", "767")
+    assert code == EXIT_BUDGET
+    assert captured.err == "error: enumeration needs 768 candidates, budget is 767\n"
+    # one profile is refused as the oracle refuses its single pass
+    code, captured, _ = _timed_main(capsys, "intersect", *PARAMS_222, "--u", "1", "--s", "1",
+                                    "--profile", "1,1", "--oracle", "--budget", "255")
+    assert code == EXIT_BUDGET
+    assert captured.err == "error: enumeration needs 256 candidates, budget is 255\n"
+
+
 # q^(m*eta*ell) = 7^7488 has 6329 digits, past the default int-to-str limit of 4300
 PARAMS_BIG = ["--q", "7", "--m", "16", "--eta", "18", "--ell", "26"]
 BIG_SPACE = Decimal(7**7488)

@@ -1,10 +1,12 @@
 import functools
+import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumrank import oracle
+from sumrank import intersections, oracle
 from sumrank.intersections import IntersectionQuery, sumrank_intersection_exact
 from sumrank.oracle import (
     OracleBudgetError,
@@ -180,3 +182,91 @@ def test_histogram_count_matches_exact_formula_and_ball_bound(question):
     query = IntersectionQuery(p=p, u=u, s=s, tprofile=profile)
     assert count == sumrank_intersection_exact(query)
     assert count <= min(ball_volume(p, u), ball_volume(p, s))
+
+
+# -- one rank per block matrix -----------------------------------------------
+
+
+def _all_matrices(q, rows, cols):
+    for flat in itertools.product(range(q), repeat=rows * cols):
+        yield tuple(flat[r * cols : (r + 1) * cols] for r in range(rows))
+
+
+@pytest.mark.parametrize("q, max_side", [(2, 3), (3, 3), (5, 2), (7, 2)])
+def test_matrix_rank_is_the_dimension_of_the_row_space(q, max_side):
+    for rows in range(1, max_side + 1):
+        for cols in range(1, max_side + 1):
+            for mat in _all_matrices(q, rows, cols):
+                assert q ** matrix_rank(mat, q) == len(oracle._span(list(mat), q)), mat
+
+
+def _cell_id(p):
+    return f"{p.q}-{p.m}-{p.eta}-{p.ell}"
+
+
+@pytest.mark.parametrize("p", [P221, P222, Params(q=3, m=1, eta=2, ell=2),
+                               Params(q=2, m=2, eta=1, ell=3)], ids=_cell_id)
+def test_histogram_ranks_each_block_matrix_once(monkeypatch, p):
+    calls = []
+
+    def counted(mat, q):
+        calls.append(mat)
+        return matrix_rank(mat, q)
+
+    monkeypatch.setattr(oracle, "matrix_rank", counted)
+    for profile in [(0,) * p.ell, (p.mu,) * p.ell]:
+        calls.clear()
+        oracle.distance_histogram(p, profile)
+        assert len(calls) == p.q ** (p.m * p.eta) == len(set(calls))
+
+
+def _minus(a, b, q):
+    return tuple(tuple((x - z) % q for x, z in zip(arow, brow)) for arow, brow in zip(a, b))
+
+
+def _naive_histograms(p):
+    """Every profile's histogram by whole-vector enumeration, ranking blocks directly.
+
+    Each vector v is split into its blocks, and the rank of every block of v and
+    of v - y is computed for it alone. A center block with t leading diagonal
+    ones serves every profile whose part is t there.
+    """
+    ys = [canonical_centers(p, (t,) * p.ell)[0] for t in range(p.mu + 1)]
+    profiles = list(itertools.product(range(p.mu + 1), repeat=p.ell))
+    stride = p.max_weight + 1
+    hists = {profile: [[0] * stride for _ in range(stride)] for profile in profiles}
+    size = p.m * p.eta
+    for flat in itertools.product(range(p.q), repeat=size * p.ell):
+        blocks = [tuple(flat[i * size + r * p.eta : i * size + (r + 1) * p.eta]
+                        for r in range(p.m)) for i in range(p.ell)]
+        a = sum(matrix_rank(block, p.q) for block in blocks)
+        to_y = [[matrix_rank(_minus(block, y, p.q), p.q) for y in ys] for block in blocks]
+        for profile in profiles:
+            hists[profile][a][sum(row[t] for row, t in zip(to_y, profile))] += 1
+    return hists
+
+
+SMALL_PRIME_CELLS = [
+    Params(q=q, m=m, eta=eta, ell=ell)
+    for q in range(2, 2**10 + 1)
+    if all(q % d for d in range(2, math.isqrt(q) + 1))
+    for m in range(1, 11)
+    for eta in range(1, 11)
+    for ell in range(1, 11)
+    if q ** (m * eta * ell) <= 2**10
+]
+
+
+@pytest.mark.parametrize("p", SMALL_PRIME_CELLS, ids=_cell_id)
+def test_histogram_equals_a_naive_enumeration_on_every_profile(p):
+    for profile, hist in _naive_histograms(p).items():
+        assert oracle.distance_histogram(p, profile) == hist, profile
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_els_pair_enumeration_matches_the_library_pair_table(q):
+    for k in range(4):
+        pairs, _ = intersections._split_triangles(k, q)
+        for a in range(k + 1):
+            enumerated, _ = els_pair_count_check(k, a, q)
+            assert enumerated == pairs[a][k - a]
