@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Any, Optional
 
 from sumrank import __version__, oracle, volumes
-from sumrank.compositions import enumerate_uniform
+from sumrank.compositions import count_uniform, enumerate_uniform
 from sumrank.qkit import InputError
 from sumrank.report import (BALL, EXACT, LEMMA8, QUESTIONS, SPHERE, Variant, make_record,
                             make_report, report_to_csv, report_to_json, report_to_text)
@@ -42,7 +42,8 @@ def _add_params_args(sub: argparse.ArgumentParser) -> None:
 def _add_common_args(sub: argparse.ArgumentParser, *extra_formats: str) -> None:
     sub.add_argument("--format", choices=("json", "text", *extra_formats), default="json")
     sub.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET,
-                     help="oracle enumeration budget (candidate count)")
+                     help="oracle enumeration budget (candidate count); verify applies "
+                          "it per grid cell and per Lemma 8 check")
     sub.add_argument("--output", help="write the report to this file instead of stdout")
 
 
@@ -133,43 +134,38 @@ def cmd_intersect(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     p = Params(q=args.q, m=args.m, eta=args.eta, ell=args.ell)
     if args.u < 0 or args.s < 0:
         raise InputError("radii u and s must be nonnegative")
-    records: list[dict[str, Any]] = []
-
     if args.profile is None and args.t is None:
         raise InputError("either --profile or --t is required")
     question = QUESTIONS[args.variant]
-    literal_only = all(variant.literal for variant in question.variants)
+    per_profile = [variant for variant in question.variants if not variant.literal]
     profiles = [] if args.profile is None else [_parse_profile(args.profile, p)]
     if args.t is not None:
         if args.t < 0 or args.t > p.max_weight:
             raise InputError(f"t must lie in 0..{p.max_weight}")
         if profiles and sum(profiles[0]) != args.t:
             raise InputError(f"--profile sums to {sum(profiles[0])} but --t is {args.t}")
-        if not profiles and not literal_only:
-            # only a per-profile variant reads every composition of --t
-            profiles = list(enumerate_uniform(args.t, p.ell, p.mu))
-    elif literal_only:
+    elif not per_profile:
         raise InputError(f"--variant {args.variant} requires a scalar --t")
-    # each per-profile variant enumerates the whole space once per profile
-    passes = len(profiles) * sum(not variant.literal for variant in question.variants)
+    delta = sum(profiles[0]) if args.t is None else args.t
+    radii = question.radii(args.u, args.s, delta)
+    if radii is None:
+        raise InputError(question.condition)
+    u, s = radii
+    if args.oracle and per_profile:
+        # each per-profile variant enumerates the whole space once per profile;
+        # the compositions of --t are counted, and listed only once they fit
+        passes = len(per_profile) * (len(profiles) or count_uniform(delta, p.ell, p.mu))
+        oracle.check_passes(p, passes, args.budget)
+    if not profiles and per_profile:
+        # only a per-profile variant reads every composition of --t
+        profiles = list(enumerate_uniform(delta, p.ell, p.mu))
+    records: list[dict[str, Any]] = []
     for variant in question.variants:
-        if variant.literal:
-            # a literal reading answers the scalar distance --t, once
-            asked = [] if args.t is None else [(None, args.t)]
-        else:
-            asked = [(profile, sum(profile)) for profile in profiles]
-        for profile, delta in asked:
-            radii = question.radii(args.u, args.s, delta)
-            if radii is None:
-                raise InputError(question.condition)
-            u, s = radii
+        # a literal reading answers the scalar distance --t, once
+        asked = ([] if args.t is None else [None]) if variant.literal else profiles
+        for profile in asked:
             oracle_value = None
             if args.oracle and profile is not None:
-                # the budget bounds all passes together; it is checked where the
-                # oracle checks a single pass, so a non-prime q is refused first
-                oracle.check_prime_field(p.q)
-                if passes * p.space_size > args.budget:
-                    raise oracle.OracleBudgetError(passes * p.space_size, args.budget)
                 oracle_value = oracle.count_intersection(p, u, s, profile, budget=args.budget)
             value = variant.formula(p, u, s, delta if profile is None else profile)
             query = variant.query(u, s, delta, profile, harness=False)
@@ -212,12 +208,12 @@ def run_verification(
     for q, m, eta, ell in sorted(grid):
         p = Params(q=q, m=m, eta=eta, ell=ell)
         cell = asdict(p)
-        # one enumeration per distance profile, (mu + 1)^ell of them; a space
-        # over budget on its own is reported by its size, as the oracle does
-        required = p.space_size * (1 if p.space_size > budget else (p.mu + 1) ** p.ell)
-        if required > budget:
+        try:
+            # one enumeration per distance profile, (mu + 1)^ell of them
+            oracle.check_passes(p, (p.mu + 1) ** p.ell, budget)
+        except oracle.OracleBudgetError as exc:
             # Decimal prints counts past the interpreter's int-to-str digit limit
-            skipped.append({"cell": cell, "required_budget": str(Decimal(required))})
+            skipped.append({"cell": cell, "required_budget": str(Decimal(exc.required))})
             continue
 
         def add(variant: Variant, query: dict[str, Any], value: int, oracle_value: int) -> None:

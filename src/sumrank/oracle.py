@@ -4,7 +4,8 @@ Vectors of F_{q^m}^n are enumerated as ell matrices of size m x eta with
 entries in F_q (q prime), ranks are computed by forward elimination mod q,
 and one pass over the whole space tallies every vector's distances to two
 centers; sphere, ball and intersection counts are read off that tally.
-Enumeration cost is q^{m*n}, so a hard budget guards every exhaustive count.
+Enumeration cost is q^{m*n} per pass, so one budget rule, `check_passes`,
+guards every exhaustive count and every command's total of passes.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from collections import Counter
 from decimal import Decimal
 
 from sumrank.compositions import RankProfile
-from sumrank.qkit import InputError, gaussian_binomial, smallest_prime_factor
+from sumrank.qkit import InputError, smallest_prime_factor
 from sumrank.volumes import Params
 
 DEFAULT_BUDGET = 2**24
@@ -40,9 +41,15 @@ def check_prime_field(q: int) -> None:
         raise InputError(f"oracle requires a prime field size, got {q}")
 
 
-def _check_budget(required: int, budget: int) -> None:
-    if required > budget:
-        raise OracleBudgetError(required, budget)
+def check_passes(p: Params, passes: int, budget: int) -> None:
+    """Refuse a q that is not prime, then `passes` enumerations of p's space over budget.
+
+    A space over the budget on its own is refused by its size, else by the total.
+    """
+    check_prime_field(p.q)
+    for required in (p.space_size, passes * p.space_size):
+        if required > budget:
+            raise OracleBudgetError(required, budget)
 
 
 def matrix_rank(mat: Matrix, q: int) -> int:
@@ -105,8 +112,7 @@ def distance_histogram(
     visited: the ranks of its blocks against x and y are summed, never
     combined from per-block counts.
     """
-    check_prime_field(p.q)
-    _check_budget(p.space_size, budget)
+    check_passes(p, 1, budget)
     y = canonical_centers(p, profile)
     # each block matrix is ranked once: subtracting a center block permutes them
     rank = {mat: matrix_rank(mat, p.q) for mat in _all_block_matrices(p)}
@@ -188,25 +194,22 @@ def _all_subspaces(dim_total: int, d: int, q: int) -> set[frozenset[tuple[int, .
     return spaces
 
 
-def els_pair_count_check(
-    k: int, a: int, q: int, budget: int = DEFAULT_BUDGET
-) -> tuple[int, int]:
+def els_pair_count_check(k: int, a: int, q: int, budget: int = DEFAULT_BUDGET) -> int:
     """Count ordered direct-sum pairs (A, B) of a fixed k-dim space by enumeration.
 
     A has dimension a, B has dimension k - a, and A + B = V with trivial
-    intersection. Returns (enumerated count, closed form q^{a(k-a)} [k choose a]_q)
-    so callers can compare the two.
+    intersection. Only the enumerated count is returned: the closed form it
+    checks lives with the formulas, not in the oracle.
     """
     check_prime_field(q)
     if not 0 <= a <= k:
         raise InputError("requires 0 <= a <= k")
     if k > 4:
         raise InputError("ambient dimension capped at 4 for the subspace oracle")
-    _check_budget(q**k, budget)
+    if q**k > budget:
+        raise OracleBudgetError(q**k, budget)
     trivial = {(0,) * k}
     subspaces_b = _all_subspaces(k, k - a, q)
-    enumerated = sum(
+    return sum(
         1 for sa in _all_subspaces(k, a, q) for sb in subspaces_b if sa & sb == trivial
     )
-    closed_form = q ** (a * (k - a)) * gaussian_binomial(k, a, q)
-    return enumerated, closed_form

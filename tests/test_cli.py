@@ -25,6 +25,7 @@ from sumrank.cli import (
     main,
 )
 from sumrank import intersections
+from sumrank.compositions import count_uniform
 from sumrank.qkit import num_matrices_rank
 from sumrank.report import REPORT_SCHEMA, report_to_json
 
@@ -274,6 +275,73 @@ def test_intersect_oracle_budget_boundary(capsys):
                                     "--profile", "1,1", "--oracle", "--budget", "255")
     assert code == EXIT_BUDGET
     assert captured.err == "error: enumeration needs 256 candidates, budget is 255\n"
+
+
+def test_intersect_oracle_counts_compositions_before_listing_them(capsys):
+    # 2,704,156 compositions of 12 into 24 parts of at most 1, over 2^24 vectors each,
+    # are 45,368,209,309,696 candidates: refused from their count, before any is listed
+    code, captured, elapsed = _timed_main(
+        capsys, "intersect", "--q", "2", "--m", "1", "--eta", "1", "--ell", "24",
+        "--u", "1", "--s", "1", "--t", "12", "--oracle")
+    assert elapsed < 1.0
+    assert code == EXIT_BUDGET
+    assert captured.out == ""
+    assert captured.err == (
+        "error: enumeration needs 45368209309696 candidates, budget is 16777216\n")
+
+
+def test_intersect_oracle_refuses_a_space_over_budget_by_its_size(capsys):
+    # the space alone (256 vectors) is over budget, so its three compositions are not counted
+    code, captured, _ = _timed_main(capsys, "intersect", *PARAMS_222, "--u", "1", "--s", "1",
+                                    "--t", "2", "--oracle", "--budget", "100")
+    assert code == EXIT_BUDGET
+    assert captured.err == "error: enumeration needs 256 candidates, budget is 100\n"
+
+
+# every cell with at most 2^12 vectors over q in {2, 3, 4}
+SMALL_CELLS = [
+    (q, m, eta, ell)
+    for q in (2, 3, 4)
+    for m in range(1, 13)
+    for eta in range(1, 13)
+    for ell in range(1, 13)
+    if q ** (m * eta * ell) <= 2**12
+]
+
+
+@st.composite
+def _oracle_intersect_call(draw):
+    q, m, eta, ell = draw(st.sampled_from(SMALL_CELLS))
+    mu, space = min(m, eta), q ** (m * eta * ell)
+    t = draw(st.integers(0, ell * mu))
+    total = count_uniform(t, ell, mu) * space
+    # the budget is kept small enough that an accepted call stays cheap, and
+    # the refusal boundaries are drawn whenever they fit under it
+    cap = 2**15
+    edges = [b for b in (space - 1, space, total - 1, total) if 0 <= b <= cap]
+    budget = draw(st.one_of(st.integers(0, cap), st.sampled_from(edges or [0])))
+    u, s = draw(st.integers(0, ell * mu)), draw(st.integers(0, ell * mu))
+    return (q, m, eta, ell), t, u, s, budget
+
+
+@settings(max_examples=150, deadline=None)
+@given(_oracle_intersect_call())
+def test_intersect_oracle_obeys_the_one_budget_rule(call):
+    (q, m, eta, ell), t, u, s, budget = call
+    argv = ["intersect", "--q", str(q), "--m", str(m), "--eta", str(eta), "--ell", str(ell),
+            "--u", str(u), "--s", str(s), "--t", str(t), "--oracle", "--budget", str(budget)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    space = q ** (m * eta * ell)
+    if q == 4:
+        assert code == EXIT_BAD_ARGS
+    elif space > budget or count_uniform(t, ell, min(m, eta)) * space > budget:
+        assert code == EXIT_BUDGET and out.getvalue() == ""
+    else:
+        assert code == EXIT_OK
+        records = json.loads(out.getvalue())["records"]
+        assert records and all(rec["match"] == "yes" for rec in records)
 
 
 # q^(m*eta*ell) = 7^7488 has 6329 digits, past the default int-to-str limit of 4300

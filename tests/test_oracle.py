@@ -11,6 +11,7 @@ from sumrank.intersections import IntersectionQuery, sumrank_intersection_exact
 from sumrank.oracle import (
     OracleBudgetError,
     canonical_centers,
+    check_passes,
     check_prime_field,
     count_intersection,
     count_sphere,
@@ -18,7 +19,7 @@ from sumrank.oracle import (
     els_pair_count_check,
     matrix_rank,
 )
-from sumrank.qkit import gaussian_binomial
+from sumrank.qkit import InputError, gaussian_binomial
 from sumrank.volumes import Params, ball_volume
 
 P221 = Params(q=2, m=2, eta=2, ell=1)
@@ -83,6 +84,29 @@ def test_budget_refusal():
     assert exc.value.required == big.space_size
 
 
+def test_check_passes_refuses_a_q_that_is_not_prime_before_any_budget():
+    with pytest.raises(InputError, match="oracle requires a prime field size, got 4"):
+        check_passes(Params(q=4, m=1, eta=1, ell=1), 1, budget=0)
+
+
+def test_check_passes_reports_a_space_over_budget_by_its_size():
+    with pytest.raises(OracleBudgetError) as exc:
+        check_passes(P222, 3, budget=255)
+    assert exc.value.required == 256 and exc.value.budget == 255
+    assert str(exc.value) == "enumeration needs 256 candidates, budget is 255"
+
+
+def test_check_passes_reports_several_passes_by_their_total():
+    with pytest.raises(OracleBudgetError) as exc:
+        check_passes(P222, 3, budget=767)
+    assert exc.value.required == 768
+
+
+def test_check_passes_accepts_a_total_equal_to_the_budget():
+    check_passes(P222, 3, budget=768)
+    check_passes(P222, 1, budget=256)
+
+
 def test_composite_q_rejected():
     with pytest.raises(ValueError):
         count_sphere(Params(q=4, m=2, eta=2, ell=1), 1)
@@ -100,18 +124,16 @@ def test_prime_field_check_accepts_exactly_the_primes():
 
 
 def test_els_pair_count_examples():
-    assert els_pair_count_check(2, 0, 2) == (1, 1)
-    assert els_pair_count_check(3, 3, 2) == (1, 1)
-    assert els_pair_count_check(2, 1, 2) == (6, 6)
+    assert els_pair_count_check(2, 0, 2) == 1
+    assert els_pair_count_check(3, 3, 2) == 1
+    assert els_pair_count_check(2, 1, 2) == 6
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_els_pair_count_matches_closed_form(q):
     for k in range(4):
         for a in range(k + 1):
-            enumerated, closed = els_pair_count_check(k, a, q)
-            assert enumerated == closed
-            assert closed == q ** (a * (k - a)) * gaussian_binomial(k, a, q)
+            assert els_pair_count_check(k, a, q) == q ** (a * (k - a)) * gaussian_binomial(k, a, q)
 
 
 def test_rank1_additive_oracle():
@@ -268,5 +290,4 @@ def test_els_pair_enumeration_matches_the_library_pair_table(q):
     for k in range(4):
         pairs, _ = intersections._split_triangles(k, q)
         for a in range(k + 1):
-            enumerated, _ = els_pair_count_check(k, a, q)
-            assert enumerated == pairs[a][k - a]
+            assert els_pair_count_check(k, a, q) == pairs[a][k - a]
