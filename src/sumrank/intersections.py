@@ -25,15 +25,8 @@ from math import prod
 
 from sumrank.compositions import RankProfile, enumerate_partitions
 from sumrank.qkit import InternalInconsistencyError  # also raised here; kept importable
-from sumrank.qkit import InputError, gaussian_binomial, num_matrices_rank
+from sumrank.qkit import InputError, exact_div, gaussian_binomial, num_matrices_rank
 from sumrank.volumes import Params
-
-
-def _exact_div(num: int, den: int, what: str) -> int:
-    quot, rem = divmod(num, den)
-    if rem != 0:
-        raise InternalInconsistencyError(f"{what}: division not exact")
-    return quot
 
 
 def _check_distance(u: int, s: int, t: int, n: int, m: int) -> int:
@@ -75,8 +68,8 @@ def _j_rows(t: int, n: int, m: int, q: int) -> Table:
     for a in range(mu):
         padded, band = (0, *rows[a], 0), range(abs(t - a - 1), min(t + a + 1, mu) + 1)
         rows.append(tuple(
-            _exact_div(b_[b - 1] * padded[b] + (a_[b] - a_[a]) * padded[b + 1]
-                       + c_[b + 1] * padded[b + 2] - b_[a - 1] * rows[a - 1][b], c_[a + 1], "J")
+            exact_div(b_[b - 1] * padded[b] + (a_[b] - a_[a]) * padded[b + 1]
+                      + c_[b + 1] * padded[b + 2] - b_[a - 1] * rows[a - 1][b], c_[a + 1], "J")
             if b in band else 0 for b in range(mu + 1)))
     for a, row in enumerate(rows):
         if min(row) < 0:
@@ -230,7 +223,7 @@ def rank1_additive_pairs(n: int, m: int, r: int, q: int) -> int:
     """
     if r < 0 or r > min(m, n):
         raise InputError("rank r must lie in 0..min(m, n)")
-    return _exact_div((q**n - q**r) * (q**m - q**r), q - 1, "rank1_additive_pairs")
+    return exact_div((q**n - q**r) * (q**m - q**r), q - 1, "rank1_additive_pairs")
 
 
 def theorem2_per_profile(p: Params, dprofile: RankProfile) -> int:

@@ -2,7 +2,8 @@
 
 Gaussian binomial coefficients, the count of fixed-rank matrices over F_q,
 and point evaluation of q-Krawtchouk polynomials. Everything is computed
-with Python integers, so results never overflow or round.
+with Python integers, so results never overflow or round; every division
+that must be exact goes through exact_div.
 """
 
 from __future__ import annotations
@@ -20,6 +21,14 @@ class InputError(ValueError):
 
 class InternalInconsistencyError(Exception):
     """A count formula produced a non-integral or negative value."""
+
+
+def exact_div(num: int, den: int, what: str) -> int:
+    """num // den, raising InternalInconsistencyError if den does not divide num."""
+    quot, rem = divmod(num, den)
+    if rem != 0:
+        raise InternalInconsistencyError(f"{what}: division not exact")
+    return quot
 
 
 def _check_q(q: int) -> None:
@@ -62,7 +71,7 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
     Evaluated by the telescoping product prod_{i=1}^{k} (q^{n-k+i}-1)/(q^i-1),
     multiplying and dividing in index order so every intermediate stays
-    integral (checked). Returns 0 when k > n and 1 when k = 0.
+    integral (checked by exact_div). Returns 0 when k > n and 1 when k = 0.
     """
     _check_q(q)
     if n < 0 or k < 0:
@@ -71,10 +80,7 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
         return 0
     result = 1
     for i in range(1, k + 1):
-        result *= q ** (n - k + i) - 1
-        result, rem = divmod(result, q**i - 1)
-        if rem != 0:
-            raise InternalInconsistencyError("gaussian binomial intermediate not integral")
+        result = exact_div(result * (q ** (n - k + i) - 1), q**i - 1, "gaussian binomial")
     return result
 
 

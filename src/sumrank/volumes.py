@@ -1,10 +1,12 @@
 """Sphere and ball volumes in the sum-rank metric.
 
 The ambient space is F_{q^m}^n split into ell blocks of length eta, so
-n = ell*eta and each block has rank at most mu = min(m, eta). The production
-path is an ell-fold convolution of the single-block rank distribution,
-truncated at the asked radius: a sphere or ball of radius t convolves only
-weights 0..t, and the full weight distribution is the same convolution at
+n = ell*eta and each block has rank at most mu = min(m, eta). The weight
+distribution is the coefficient list of P(x)^ell, where P is the
+single-block rank distribution. The production path computes it by
+J. C. P. Miller's power recurrence, one coefficient per radius, truncated at
+the asked radius: a sphere or ball of radius t costs about t*mu products,
+whatever ell is, and the full weight distribution is the same recurrence at
 t = ell*mu. A direct sum over rank profiles is kept as an independent
 reference.
 """
@@ -16,7 +18,13 @@ from functools import lru_cache
 from math import prod
 
 from sumrank.compositions import enumerate_uniform
-from sumrank.qkit import InputError, is_prime_power, num_matrices_rank
+from sumrank.qkit import (
+    InputError,
+    InternalInconsistencyError,
+    exact_div,
+    is_prime_power,
+    num_matrices_rank,
+)
 
 
 @dataclass(frozen=True)
@@ -60,21 +68,27 @@ class Params:
 
 
 def _weights_up_to(p: Params, top: int) -> tuple[int, ...]:
-    """Sphere volumes for radii 0..top, by a convolution truncated at degree top.
+    """Sphere volumes for radii 0..top: the coefficients Q_0..Q_top of Q = P^ell.
 
-    The single-block rank distribution (ranks 0..min(mu, top)) is convolved
-    ell times (polynomial multiplication with exact integer coefficients),
-    dropping every degree above top, so no rank or weight beyond top is
-    ever computed. top must lie in 0..ell*mu.
+    P is the single-block rank distribution, P_r = NM(eta, m, r), and
+    P_0 = 1. Differentiating Q = P^ell gives P*Q' = ell*P'*Q, so
+    Q_0 = 1 and k*Q_k = sum_{j=1..min(mu,k)} ((ell+1)*j - k) * P_j * Q_{k-j}
+    (Miller's recurrence; Knuth, TAOCP Vol. 2, section 4.7). Each Q_k reads
+    only lower coefficients, so no rank or weight beyond top is ever
+    computed and the prefix is exact. Every division by k must be exact, and
+    the full distribution (top = ell*mu) must sum to q^{mn}; either failure
+    raises InternalInconsistencyError. top must lie in 0..ell*mu.
     """
     block = [num_matrices_rank(p.eta, p.m, r, p.q) for r in range(min(p.mu, top) + 1)]
+    ell1 = p.ell + 1
     dist = [1]
-    for _ in range(p.ell):
-        new = [0] * min(len(dist) + len(block) - 1, top + 1)
-        for w, c in enumerate(dist):
-            for r, b in enumerate(block[: top + 1 - w]):
-                new[w + r] += c * b
-        dist = new
+    for k in range(1, top + 1):
+        num = 0
+        for j in range(1, min(len(block), k + 1)):
+            num += (ell1 * j - k) * block[j] * dist[k - j]
+        dist.append(exact_div(num, k, "power recurrence"))
+    if top == p.max_weight and sum(dist) != p.space_size:
+        raise InternalInconsistencyError("weight distribution does not sum to q^(mn)")
     return tuple(dist)
 
 
@@ -85,9 +99,10 @@ _DISTRIBUTION_CACHE_SIZE = 1
 
 @lru_cache(maxsize=_DISTRIBUTION_CACHE_SIZE)
 def weight_distribution(p: Params) -> tuple[int, ...]:
-    """Sphere volumes for every radius 0..ell*mu, by convolution.
+    """Sphere volumes for every radius 0..ell*mu, by the power recurrence.
 
-    Entry t is the number of vectors of sum-rank weight exactly t.
+    Entry t is the number of vectors of sum-rank weight exactly t; the
+    entries sum to q^{mn} (checked).
     """
     return _weights_up_to(p, p.max_weight)
 
@@ -104,7 +119,7 @@ def sphere_volume(p: Params, t: int) -> int:
 def sphere_volume_by_profiles(p: Params, t: int) -> int:
     """Reference evaluation: sum over rank profiles of per-block counts.
 
-    Same value as sphere_volume; kept independent of the convolution path
+    Same value as sphere_volume; kept independent of the power recurrence
     for cross-checking.
     """
     if t < 0:

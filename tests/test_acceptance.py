@@ -210,3 +210,10 @@ def test_criterion_9_convolution_performance():
                     for t in range(pp.max_weight + 1):
                         ok = ok and sphere_volume(pp, t) == sphere_volume_by_profiles(pp, t)
     _report(9, ok, timer, 1)
+
+
+def test_criterion_9_small_radius_cost_does_not_grow_with_ell():
+    # a radius-2 sphere costs O(t*mu) products, not one pass per block
+    with _Timer() as timer:
+        ok = sphere_volume(Params(q=2, m=1, eta=1, ell=10**7), 2) == math.comb(10**7, 2)
+    _report(9, ok and timer.elapsed < 1, timer, 1)

@@ -11,6 +11,8 @@ import sumrank
 from sumrank import intersections, qkit
 from sumrank.oracle import check_prime_field
 from sumrank.qkit import (
+    InternalInconsistencyError,
+    exact_div,
     gaussian_binomial,
     is_prime_power,
     num_matrices_rank,
@@ -128,6 +130,12 @@ def test_uncertifiable_q_is_refused_not_reported_prime(q):
 def test_internal_inconsistency_error_is_one_class():
     assert intersections.InternalInconsistencyError is qkit.InternalInconsistencyError
     assert sumrank.InternalInconsistencyError is qkit.InternalInconsistencyError
+
+
+def test_exact_div_refuses_a_remainder():
+    assert exact_div(-12, 4, "x") == -3
+    with pytest.raises(InternalInconsistencyError, match=r"^J: division not exact$"):
+        exact_div(7, 3, "J")
 
 
 def test_integrality_check_survives_optimize():

@@ -1,12 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from sumrank import volumes
 from sumrank.qkit import num_matrices_rank
 from sumrank.volumes import (
     Params,
+    _weights_up_to,
     ball_volume,
     sphere_volume,
     sphere_volume_by_profiles,
@@ -112,6 +118,42 @@ def test_convolution_agrees_with_profile_sum(q):
                 p = Params(q=q, m=m, eta=eta, ell=ell)
                 for t in range(p.max_weight + 1):
                     assert sphere_volume(p, t) == sphere_volume_by_profiles(p, t)
+
+
+@given(q=st.sampled_from([2, 3, 4, 5, 7, 8, 9]), m=st.integers(1, 4),
+       eta=st.integers(1, 4), ell=st.integers(1, 4))
+def test_power_recurrence_agrees_with_profile_sum_at_every_top(q, m, eta, ell):
+    p = Params(q=q, m=m, eta=eta, ell=ell)
+    reference = tuple(sphere_volume_by_profiles(p, t) for t in range(p.max_weight + 1))
+    for top in range(p.max_weight + 1):
+        assert _weights_up_to(p, top) == reference[: top + 1]
+
+
+@given(q=st.sampled_from([2, 3, 4, 5, 7, 8, 9]), m=st.integers(1, 4),
+       ell=st.integers(1, 10**5))
+@example(q=2, m=1, ell=10**5)
+def test_power_recurrence_at_large_ell_and_small_radius(q, m, ell):
+    # eta = 1 is the Hamming metric over F_{q^m}: S(t) = C(ell, t) (q^m - 1)^t
+    top = min(3, ell)
+    expected = tuple(math.comb(ell, t) * (q**m - 1) ** t for t in range(top + 1))
+    assert _weights_up_to(Params(q=q, m=m, eta=1, ell=ell), top) == expected
+
+
+def test_mass_guard_survives_optimize():
+    # a wrong block count still gives integral coefficients, so the sum check
+    # is what catches it; -O strips asserts
+    src = str(Path(volumes.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sumrank.volumes as v\n"
+        "from sumrank.qkit import InternalInconsistencyError, num_matrices_rank\n"
+        "v.num_matrices_rank = lambda n, m, r, q: num_matrices_rank(n, m, r, q) + (r == 1)\n"
+        "try:\n    v.weight_distribution(v.Params(2, 2, 2, 3))\n"
+        "except InternalInconsistencyError:\n    print('raised')\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "raised\n"
 
 
 @st.composite
