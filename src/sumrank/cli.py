@@ -151,25 +151,22 @@ def cmd_intersect(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     if radii is None:
         raise InputError(question.condition)
     u, s = radii
-    if args.oracle and per_profile:
-        # each per-profile variant enumerates the whole space once per profile;
-        # the compositions of --t are counted, and listed only once they fit
-        passes = len(per_profile) * (len(profiles) or count_uniform(delta, p.ell, p.mu))
-        oracle.check_passes(p, passes, args.budget)
-    if not profiles and per_profile:
-        # only a per-profile variant reads every composition of --t
-        profiles = list(enumerate_uniform(delta, p.ell, p.mu))
+    if args.oracle:
+        if not per_profile:
+            raise InputError(f"--variant {args.variant} has no per-profile formula for --oracle"
+                             " to check")
+        # one pass per profile: the compositions of --t are counted before any is listed
+        oracle.check_passes(p, len(profiles) or count_uniform(delta, p.ell, p.mu), args.budget)
+    if per_profile and not profiles:
+        profiles = list(enumerate_uniform(delta, p.ell, p.mu))  # every composition of --t
     records: list[dict[str, Any]] = []
-    for variant in question.variants:
-        # a literal reading answers the scalar distance --t, once
-        asked = ([] if args.t is None else [None]) if variant.literal else profiles
-        for profile in asked:
-            oracle_value = None
-            if args.oracle and profile is not None:
-                oracle_value = oracle.count_intersection(p, u, s, profile, budget=args.budget)
-            value = variant.formula(p, u, s, delta if profile is None else profile)
-            query = variant.query(u, s, delta, profile, harness=False)
-            records.append(make_record(query, variant, value, oracle_value))
+    for profile in profiles:
+        count = oracle.count_intersection(p, u, s, profile, args.budget) if args.oracle else None
+        records += [make_record(v.query(u, s, delta, profile, harness=False), v,
+                                v.formula(p, u, s, profile), count) for v in per_profile]
+    if args.t is not None:  # a literal reading answers the scalar distance --t, once
+        records += [make_record(v.query(u, s, delta, None, harness=False), v,
+                                v.formula(p, u, s, delta)) for v in question.variants if v.literal]
     return make_report(asdict(p), records, __version__), EXIT_OK
 
 

@@ -89,7 +89,7 @@ def rank_sphere_intersection_J(u: int, s: int, t: int, n: int, m: int, q: int) -
     region (triangle inequality or a radius above min(m, n)).
     """
     mu = _check_distance(u, s, t, n, m)
-    if u > mu or s > mu or u + s < t or abs(u - s) > t:
+    if u > mu or s > mu:
         return 0
     return _j_rows(t, n, m, q)[u][s]
 

@@ -135,12 +135,6 @@ def count_weights(p: Params, budget: int = DEFAULT_BUDGET) -> list[int]:
     return [sum(row) for row in distance_histogram(p, (0,) * p.ell, budget)]
 
 
-def count_sphere(p: Params, t: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Exhaustive count of vectors with sum-rank weight exactly t."""
-    weights = count_weights(p, budget)
-    return weights[t] if 0 <= t < len(weights) else 0
-
-
 def count_intersection(
     p: Params, u: int, s: int, profile: RankProfile, budget: int = DEFAULT_BUDGET
 ) -> int:

@@ -24,7 +24,7 @@ from sumrank.cli import (
     build_parser,
     main,
 )
-from sumrank import intersections
+from sumrank import intersections, oracle
 from sumrank.compositions import count_uniform
 from sumrank.qkit import num_matrices_rank
 from sumrank.report import REPORT_SCHEMA, report_to_json
@@ -147,8 +147,8 @@ def test_intersect_thm2_emits_both_variants(capsys):
     )
     assert code == EXIT_OK
     variants = [r["formula_variant"] for r in report["records"]]
-    assert variants.count("thm2-literal") == 1
-    assert variants.count("thm2-profile") == 3
+    # the per-profile records, then the literal reading once
+    assert variants == ["thm2-profile"] * 3 + ["thm2-literal"]
 
 
 def test_intersect_thm3_emits_both_variants(capsys):
@@ -158,8 +158,27 @@ def test_intersect_thm3_emits_both_variants(capsys):
     )
     assert code == EXIT_OK
     variants = [r["formula_variant"] for r in report["records"]]
-    assert "thm3-literal" in variants
-    assert "thm3-aggregate" in variants
+    assert variants == ["thm3-aggregate"] * 3 + ["thm3-literal"]
+
+
+@pytest.mark.parametrize("variant", ["exact", "thm2", "thm3"])
+def test_intersect_oracle_enumerates_each_profile_once(capsys, monkeypatch, variant):
+    calls = []
+    enumerate_space = oracle.distance_histogram
+
+    def counted(p, profile, budget=oracle.DEFAULT_BUDGET):
+        calls.append(profile)
+        return enumerate_space(p, profile, budget)
+
+    monkeypatch.setattr(oracle, "distance_histogram", counted)
+    code, report = run_json(capsys, "intersect", *PARAMS_222, "--u", "2", "--s", "1",
+                            "--t", "2", "--variant", variant, "--oracle")
+    assert code == EXIT_OK
+    # one pass per composition of t = 2, shared by every per-profile formula
+    assert calls == [(0, 2), (1, 1), (2, 0)]
+    for rec in report["records"]:
+        literal = rec["formula_variant"].endswith("-literal")
+        assert (rec["oracle_value"] is None) == literal
 
 
 def test_invalid_params_exit_2(capsys):
@@ -424,6 +443,14 @@ def test_text_format(capsys):
           "--t", "1", "--oracle"], None),
         (["intersect", "--q", "8", "--m", "1", "--eta", "1", "--ell", "1", "--u", "1",
           "--s", "1", "--profile", "1", "--oracle"], None),
+        # a literal reading takes no profile, so the oracle has nothing to check: refused,
+        # at a prime q and at a prime power alike, rather than skipped
+        (["intersect", *PARAMS_222, "--u", "1", "--s", "1", "--t", "2",
+          "--variant", "thm1-literal", "--oracle"],
+         "error: --variant thm1-literal has no per-profile formula for --oracle to check"),
+        (["intersect", "--q", "4", "--m", "2", "--eta", "2", "--ell", "2", "--u", "1",
+          "--s", "1", "--t", "2", "--variant", "thm1-literal", "--oracle"],
+         "error: --variant thm1-literal has no per-profile formula for --oracle to check"),
         (["verify", "--grid", "2,1,1,1;9,1,1,1"], None),
         (["intersect", *PARAMS_222, "--u", "1", "--s", "1", "--profile", "1"],
          "error: profile length 1 != ell = 2"),
@@ -451,7 +478,9 @@ def test_text_format(capsys):
          "error: --format csv has no oracle column"),
     ],
     ids=["output-dir-missing", "csv-dir-missing", "negative-budget", "q-not-prime-power",
-         "volume-oracle-q-composite", "intersect-oracle-q-composite", "verify-q-composite",
+         "volume-oracle-q-composite", "intersect-oracle-q-composite",
+         "intersect-oracle-literal-only", "intersect-oracle-literal-only-q-composite",
+         "verify-q-composite",
          "profile-too-short", "profile-part-above-mu", "profile-not-integers",
          "profile-t-disagree", "profile-t-above-max-thm3", "profile-t-above-max-thm1",
          "profile-t-above-max-thm2", "profile-t-negative-thm1", "distribution-with-t",

@@ -14,7 +14,7 @@ from sumrank.oracle import (
     check_passes,
     check_prime_field,
     count_intersection,
-    count_sphere,
+    count_weights,
     count_within,
     els_pair_count_check,
     matrix_rank,
@@ -51,14 +51,12 @@ def test_canonical_centers():
         assert tuple(matrix_rank(b, 2) for b in y) == profile
 
 
-def test_count_sphere_examples():
-    assert count_sphere(P221, 1) == 9
-    assert count_sphere(P221, 0) == 1
-    assert count_sphere(P221, 5) == 0
+def test_count_weights_examples():
+    assert count_weights(P221) == [1, 9, 6]
 
 
-def test_count_sphere_exhaustive():
-    assert sum(count_sphere(P222, t) for t in range(5)) == 256
+def test_count_weights_exhaustive():
+    assert sum(count_weights(P222)) == 256
 
 
 def test_count_intersection_examples():
@@ -80,7 +78,7 @@ def test_count_intersection_symmetry():
 def test_budget_refusal():
     big = Params(q=2, m=5, eta=5, ell=2)
     with pytest.raises(OracleBudgetError) as exc:
-        count_sphere(big, 1, budget=2**10)
+        count_weights(big, budget=2**10)
     assert exc.value.required == big.space_size
 
 
@@ -109,7 +107,7 @@ def test_check_passes_accepts_a_total_equal_to_the_budget():
 
 def test_composite_q_rejected():
     with pytest.raises(ValueError):
-        count_sphere(Params(q=4, m=2, eta=2, ell=1), 1)
+        count_weights(Params(q=4, m=2, eta=2, ell=1))
 
 
 def test_prime_field_check_accepts_exactly_the_primes():
