@@ -1,9 +1,9 @@
 """Command-line front end: volumes, intersections, and the verification harness.
 
-The harness compares every formula variant with the brute-force oracle. For
-each grid cell the oracle enumerates the whole space once per distance
-profile; every sphere, ball and intersection check of that profile reads its
-count off the resulting joint histogram.
+The harness compares every formula variant with the brute-force oracle. Each
+grid cell is walked by scalar distance: the oracle enumerates the space once per
+profile, whose checks read their counts off its joint histogram, and a literal
+reading is asked once per (u, s, delta) and shared by every profile's finding.
 """
 
 from __future__ import annotations
@@ -196,7 +196,8 @@ def run_verification(
     theorem 3 aggregates, and the rank-1 additivity count. Every other
     variant, the literal theorem readings and theorem 2 per profile, is
     recorded as a finding in the paper-variant discrepancy section, never as
-    a failure.
+    a failure. A cell asks each literal reading once per (u, s, delta) and
+    shares it among the findings of every profile of delta.
     """
     records: list[dict[str, Any]] = []
     discrepancies: list[dict[str, Any]] = []
@@ -217,27 +218,26 @@ def run_verification(
             record = make_record({**cell, **query}, variant, value, oracle_value)
             (records if variant.required else discrepancies).append(record)
 
-        profiles = [
-            profile
-            for t in range(p.max_weight + 1)
-            for profile in enumerate_uniform(t, p.ell, p.mu)
-        ]
-        hists = {profile: oracle.distance_histogram(p, profile, budget) for profile in profiles}
-
-        # sphere and ball volumes: the zero profile's rows hold the weights
-        weights = [sum(row) for row in hists[profiles[0]]]
-        for t in range(len(weights)):
-            for variant in (SPHERE, BALL):
-                add(variant, {"t": t}, variant.formula(p, t), _oracle_volume(variant, weights, t))
-
-        # every intersection question at every radius pair it applies to
-        for profile in profiles:
-            delta = sum(profile)
-            for question in QUESTIONS.values():
-                for u, s in question.sweep(p.max_weight, delta):
-                    count = oracle.count_within(hists[profile], u, s)
+        # a literal reading depends on delta alone: one per radius pair, shared by profiles
+        for delta in range(p.max_weight + 1):
+            pairs = [(question, u, s) for question in QUESTIONS.values()
+                     for u, s in question.sweep(p.max_weight, delta)]
+            literal = {(v, u, s): v.formula(p, u, s, delta)
+                       for question, u, s in pairs for v in question.variants if v.literal}
+            for profile in enumerate_uniform(delta, p.ell, p.mu):
+                hist = oracle.distance_histogram(p, profile, budget)
+                if delta == 0:  # sphere and ball volumes: the zero profile's rows hold the weights
+                    weights = [sum(row) for row in hist]
+                    for t in range(len(weights)):
+                        for variant in (SPHERE, BALL):
+                            add(variant, {"t": t}, variant.formula(p, t),
+                                _oracle_volume(variant, weights, t))
+                # every intersection question at every radius pair it applies to
+                for question, u, s in pairs:
+                    count = oracle.count_within(hist, u, s)
                     for variant in question.variants:
-                        value = variant.formula(p, u, s, delta if variant.literal else profile)
+                        value = (literal[variant, u, s] if variant.literal
+                                 else variant.formula(p, u, s, profile))
                         add(variant, variant.query(u, s, delta, profile, harness=True),
                             value, count)
 
