@@ -1,9 +1,9 @@
 """Command-line front end: volumes, intersections, and the verification harness.
 
-The harness compares every formula variant with the brute-force oracle. Each
-grid cell is walked by scalar distance: the oracle enumerates the space once per
-profile, whose checks read their counts off its joint histogram, and a literal
-reading is asked once per (u, s, delta) and shared by every profile's finding.
+The harness compares every formula variant with the brute-force oracle, which
+enumerates a cell once per profile. The commands share counts by one rule: a
+literal reading is asked once per (u, s, delta), a per-profile formula once per
+(u, s, partition), since permuting blocks is an isometry.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Any, Optional
 
 from sumrank import __version__, oracle, volumes
-from sumrank.compositions import count_uniform, enumerate_uniform
+from sumrank.compositions import RankProfile, count_uniform, enumerate_uniform
 from sumrank.qkit import InputError
 from sumrank.report import (BALL, EXACT, LEMMA8, QUESTIONS, SPHERE, Variant, make_record,
                             make_report, report_to_csv, report_to_json, report_to_text)
@@ -130,6 +130,15 @@ def _oracle_volume(variant: Variant, weights: list[int], t: int) -> int:
     return sum(weights[t if variant is SPHERE else 0 : t + 1])
 
 
+def _ask(memo: dict[tuple[Any, ...], int], variant: Variant, p: Params, u: int, s: int,
+         delta: int, profile: RankProfile) -> int:
+    """variant at radii (u, s), from memo: once per delta if literal, else once per partition."""
+    key = (variant, u, s, delta if variant.literal else tuple(sorted(profile)))
+    if key not in memo:
+        memo[key] = variant.formula(p, u, s, delta if variant.literal else profile)
+    return memo[key]
+
+
 def cmd_intersect(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     p = Params(q=args.q, m=args.m, eta=args.eta, ell=args.ell)
     if args.u < 0 or args.s < 0:
@@ -160,10 +169,12 @@ def cmd_intersect(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     if per_profile and not profiles:
         profiles = list(enumerate_uniform(delta, p.ell, p.mu))  # every composition of --t
     records: list[dict[str, Any]] = []
+    memo: dict[tuple[Any, ...], int] = {}  # the compositions of a partition share its counts
     for profile in profiles:
         count = oracle.count_intersection(p, u, s, profile, args.budget) if args.oracle else None
         records += [make_record(v.query(u, s, delta, profile, harness=False), v,
-                                v.formula(p, u, s, profile), count) for v in per_profile]
+                                _ask(memo, v, p, u, s, delta, profile), count)
+                    for v in per_profile]
     if args.t is not None:  # a literal reading answers the scalar distance --t, once
         records += [make_record(v.query(u, s, delta, None, harness=False), v,
                                 v.formula(p, u, s, delta)) for v in question.variants if v.literal]
@@ -196,8 +207,8 @@ def run_verification(
     theorem 3 aggregates, and the rank-1 additivity count. Every other
     variant, the literal theorem readings and theorem 2 per profile, is
     recorded as a finding in the paper-variant discrepancy section, never as
-    a failure. A cell asks each literal reading once per (u, s, delta) and
-    shares it among the findings of every profile of delta.
+    a failure. A cell walks its scalar distances in turn, and the profiles
+    of one distance share its counts as `_ask` keys them.
     """
     records: list[dict[str, Any]] = []
     discrepancies: list[dict[str, Any]] = []
@@ -218,12 +229,10 @@ def run_verification(
             record = make_record({**cell, **query}, variant, value, oracle_value)
             (records if variant.required else discrepancies).append(record)
 
-        # a literal reading depends on delta alone: one per radius pair, shared by profiles
         for delta in range(p.max_weight + 1):
             pairs = [(question, u, s) for question in QUESTIONS.values()
                      for u, s in question.sweep(p.max_weight, delta)]
-            literal = {(v, u, s): v.formula(p, u, s, delta)
-                       for question, u, s in pairs for v in question.variants if v.literal}
+            memo: dict[tuple[Any, ...], int] = {}  # shared by the profiles of delta
             for profile in enumerate_uniform(delta, p.ell, p.mu):
                 hist = oracle.distance_histogram(p, profile, budget)
                 if delta == 0:  # sphere and ball volumes: the zero profile's rows hold the weights
@@ -236,10 +245,8 @@ def run_verification(
                 for question, u, s in pairs:
                     count = oracle.count_within(hist, u, s)
                     for variant in question.variants:
-                        value = (literal[variant, u, s] if variant.literal
-                                 else variant.formula(p, u, s, profile))
                         add(variant, variant.query(u, s, delta, profile, harness=True),
-                            value, count)
+                            _ask(memo, variant, p, u, s, delta, profile), count)
 
     # rank-1 additivity count (rank metric, desk scale)
     for r in range(3 if grid else 0):

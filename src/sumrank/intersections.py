@@ -39,11 +39,10 @@ def _check_distance(u: int, s: int, t: int, n: int, m: int) -> int:
     return mu
 
 
-# Bounds on the kernel caches below. A table is keyed by one radius of one
+# Bound on the kernel caches below. A table is keyed by one radius of one
 # (n, m, q) space, so a query on blocks of size eta x m needs at most
-# min(m, eta) + 1 of each; the bounds hold every key of several such spaces.
+# min(m, eta) + 1 of each; the bound holds every key of several such spaces.
 _TABLE_CACHE_SIZE = 128
-_EXACT_CACHE_SIZE = 1024
 Table = tuple[tuple[int, ...], ...]  # a block's counts, indexed [a][b]
 
 
@@ -148,20 +147,13 @@ def sumrank_intersection_exact(query: IntersectionQuery) -> int:
     distances (a_i to x, b_i to y) satisfy sum a_i <= u and sum b_i <= s, and
     for block i there are J(a_i, b_i, t_i, eta, m) choices. The sum of
     products over all admissible (a, b) profiles is evaluated by a capped
-    two-dimensional dynamic program over blocks. The count does not depend on
-    the order of the blocks, so it is computed once per sorted profile.
+    two-dimensional dynamic program over blocks, on the sorted profile. The
+    count does not depend on the order of the blocks; it is not cached, and
+    the commands share it among the compositions of a partition.
     """
     p = query.p
-    return _exact_sorted(
-        tuple(sorted(query.tprofile)),
-        min(query.u, p.max_weight), min(query.s, p.max_weight), p.eta, p.m, p.q,
-    )
-
-
-@lru_cache(maxsize=_EXACT_CACHE_SIZE)
-def _exact_sorted(tprofile: RankProfile, u: int, s: int, eta: int, m: int, q: int) -> int:
-    """The block dynamic program of sumrank_intersection_exact, for radii u, s <= ell * mu."""
-    return sum(map(sum, _block_product([_j_table(t, eta, m, q) for t in tprofile], u, s)))
+    tables = [_j_table(t, p.eta, p.m, p.q) for t in sorted(query.tprofile)]
+    return sum(map(sum, _block_product(tables, query.u, query.s)))
 
 
 def _block_product(tables: list[Table], u: int, s: int) -> list[list[int]]:

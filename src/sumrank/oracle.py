@@ -113,17 +113,18 @@ def distance_histogram(
     combined from per-block counts.
     """
     check_passes(p, 1, budget)
-    y = canonical_centers(p, profile)
+    # blocks at equal distance have equal center blocks: one per distinct distance
+    y = dict(zip(profile, canonical_centers(p, profile)))
     # each block matrix is ranked once: subtracting a center block permutes them
     rank = {mat: matrix_rank(mat, p.q) for mat in _all_block_matrices(p)}
     stride = p.max_weight + 1
     # block code = (rank distance to x) * stride + (rank distance to y); the
     # codes of a vector's blocks sum to a * stride + b, as b < stride
-    codes = [
-        [a * stride + rank[_subtract(mat, yblock, p.q)] for mat, a in rank.items()]
-        for yblock in y
-    ]
-    tally = Counter(map(sum, itertools.product(*codes)))
+    codes = {
+        ti: [a * stride + rank[_subtract(mat, yblock, p.q)] for mat, a in rank.items()]
+        for ti, yblock in y.items()
+    }
+    tally = Counter(map(sum, itertools.product(*(codes[ti] for ti in profile))))
     return [[tally[a * stride + b] for b in range(stride)] for a in range(stride)]
 
 

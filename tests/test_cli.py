@@ -25,9 +25,11 @@ from sumrank.cli import (
     main,
 )
 from sumrank import intersections, oracle
-from sumrank.compositions import count_uniform
+from sumrank.compositions import count_uniform, enumerate_uniform
+from sumrank.intersections import IntersectionQuery
 from sumrank.qkit import num_matrices_rank
 from sumrank.report import REPORT_SCHEMA, report_to_json
+from sumrank.volumes import Params
 
 PARAMS_221 = ["--q", "2", "--m", "2", "--eta", "2", "--ell", "1"]
 PARAMS_222 = ["--q", "2", "--m", "2", "--eta", "2", "--ell", "2"]
@@ -179,6 +181,33 @@ def test_intersect_oracle_enumerates_each_profile_once(capsys, monkeypatch, vari
     for rec in report["records"]:
         literal = rec["formula_variant"].endswith("-literal")
         assert (rec["oracle_value"] is None) == literal
+
+
+def test_intersect_asks_each_partition_once(capsys, monkeypatch):
+    calls = []
+    exact = intersections.sumrank_intersection_exact
+
+    def counted(query):
+        calls.append(query)
+        return exact(query)
+
+    monkeypatch.setattr(intersections, "sumrank_intersection_exact", counted)
+    code, report = run_json(capsys, "intersect", "--q", "2", "--m", "1", "--eta", "1",
+                            "--ell", "6", "--u", "2", "--s", "2", "--t", "3")
+    assert code == EXIT_OK
+    # the 20 compositions of t = 3 are one partition, (1, 1, 1, 0, 0, 0): one block program
+    assert len(calls) == 1
+    records = report["records"]
+    assert [tuple(rec["query"]["profile"]) for rec in records] == list(
+        enumerate_uniform(3, 6, 1))
+    # every record holds the count that a composition's own block program gives
+    for rec in records:
+        query = IntersectionQuery(p=Params(q=2, m=1, eta=1, ell=6), u=2, s=2,
+                                  tprofile=tuple(rec["query"]["profile"]))
+        assert rec == {"query": {"u": 2, "s": 2, "profile": list(query.tprofile)},
+                       "formula_variant": "exact", "value": str(exact(query)),
+                       "oracle_value": None, "match": "not-run"}
+    assert {rec["value"] for rec in records} == {"6"}
 
 
 def test_invalid_params_exit_2(capsys):

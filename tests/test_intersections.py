@@ -485,10 +485,9 @@ def test_exact_is_invariant_under_block_permutations(query):
     expected = sumrank_intersection_exact(query)
     for perm in set(itertools.permutations(query.tprofile)):
         assert sumrank_intersection_exact(dataclasses.replace(query, tprofile=perm)) == expected
-        # the block program itself, in the permuted order, past its sorted-profile memo
-        assert intersections._exact_sorted.__wrapped__(
-            perm, min(query.u, p.max_weight), min(query.s, p.max_weight), p.eta, p.m, p.q
-        ) == expected
+        # the block program itself, run in the permuted order rather than the sorted one
+        tables = [intersections._j_table(t, p.eta, p.m, p.q) for t in perm]
+        assert sum(map(sum, intersections._block_product(tables, query.u, query.s))) == expected
 
 
 @given(_exact_queries(max_ell=3))
@@ -642,8 +641,7 @@ def test_no_formula_walks_compositions_or_splits(monkeypatch):
 
 
 KERNELS = (intersections._j_rows, intersections._j_table, intersections._i_table,
-           intersections._exact_sorted, intersections._lemma8_column,
-           intersections._split_triangles)
+           intersections._lemma8_column, intersections._split_triangles)
 
 
 def _clear_kernel_caches():
@@ -681,25 +679,3 @@ def test_a_sweep_past_the_table_bounds_keeps_cold_answers():
     for key in keys:
         _clear_kernel_caches()
         assert answers(*key) == swept[key], key
-
-
-def test_a_sweep_past_the_exact_bound_keeps_cold_answers():
-    cells = [Params(q=q, m=2, eta=2, ell=3) for q in (2, 3, 4, 5)]
-    queries = [
-        IntersectionQuery(p=p, u=u, s=s, tprofile=profile)
-        for p in cells
-        for profile in itertools.combinations_with_replacement(range(p.mu + 1), p.ell)
-        for u in range(p.max_weight + 1)
-        for s in range(p.max_weight + 1)
-    ]
-    memo = intersections._exact_sorted
-    assert len(queries) > memo.cache_parameters()["maxsize"]
-    _clear_kernel_caches()
-    swept = []
-    for query in queries:
-        swept.append(sumrank_intersection_exact(query))
-        assert memo.cache_info().currsize <= memo.cache_info().maxsize
-    assert memo.cache_info().misses == len(queries)
-    for query, value in zip(queries, swept):
-        memo.cache_clear()
-        assert sumrank_intersection_exact(query) == value

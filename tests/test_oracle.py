@@ -240,6 +240,22 @@ def test_histogram_ranks_each_block_matrix_once(monkeypatch, p):
         assert len(calls) == p.q ** (p.m * p.eta) == len(set(calls))
 
 
+def test_histogram_subtracts_each_distinct_center_block_once(monkeypatch):
+    calls = []
+    subtract = oracle._subtract
+
+    def counted(a, b, q):
+        calls.append(b)
+        return subtract(a, b, q)
+
+    monkeypatch.setattr(oracle, "_subtract", counted)
+    p = Params(q=2, m=1, eta=2, ell=3)
+    hist = oracle.distance_histogram(p, (1, 1, 1))
+    # three blocks share one center block: its 4 block matrices are subtracted once, not 3 times
+    assert len(calls) == 4
+    assert hist == _naive_histograms(p)[(1, 1, 1)]
+
+
 def _minus(a, b, q):
     return tuple(tuple((x - z) % q for x, z in zip(arow, brow)) for arow, brow in zip(a, b))
 

@@ -61,22 +61,22 @@ def test_one_enumeration_per_distance_profile(monkeypatch):
     assert report["summary"]["required_checks"] > 9
 
 
+def _logged(monkeypatch, module, name):
+    """Replace module.name by a wrapper that logs the arguments of each call."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_literal_readings_asked_once_per_scalar_distance(monkeypatch):
-    calls = {name: [] for name, _ in LITERAL_ARGS.values()}
-    for name in calls:
-        def counted(p, *args, _name=name, _formula=getattr(intersections, name)):
-            calls[_name].append(args)
-            return _formula(p, *args)
-
-        monkeypatch.setattr(intersections, name, counted)
-    histograms = []
-    enumerate_space = oracle.distance_histogram
-
-    def counted_histogram(p, profile, budget=oracle.DEFAULT_BUDGET):
-        histograms.append((p, profile))
-        return enumerate_space(p, profile, budget)
-
-    monkeypatch.setattr(oracle, "distance_histogram", counted_histogram)
+    calls = {name: _logged(monkeypatch, intersections, name) for name, _ in LITERAL_ARGS.values()}
+    histograms = _logged(monkeypatch, oracle, "distance_histogram")
     cell = Params(q=2, m=1, eta=1, ell=4)
     report, code = run_verification([(2, 1, 1, 4)], budget=2**24)
     assert code == EXIT_OK
@@ -87,10 +87,33 @@ def test_literal_readings_asked_once_per_scalar_distance(monkeypatch):
             name, keys = LITERAL_ARGS[record["formula_variant"]]
             asked[name].add(tuple(record["query"][key] for key in keys))
     for name, args in calls.items():
-        assert args and sorted(args) == sorted(asked[name])
-    profiles = [profile for p, profile in histograms if p == cell]
+        assert args and sorted(p_args[1:] for p_args in args) == sorted(asked[name])
+    profiles = [profile for p, profile, _ in histograms if p == cell]
     assert sorted(profiles) == sorted(
         profile for t in range(5) for profile in enumerate_uniform(t, 4, 1))
+
+
+def test_per_profile_formulas_asked_once_per_partition(monkeypatch):
+    exact = _logged(monkeypatch, intersections, "sumrank_intersection_exact")
+    thm2 = _logged(monkeypatch, intersections, "theorem2_per_profile")
+    thm3 = _logged(monkeypatch, intersections, "theorem3_aggregate")
+    report, code = run_verification([(2, 1, 1, 4)], budget=2**24)
+    assert code == EXIT_OK
+    records = report["records"] + report["paper_variant_discrepancies"]
+
+    def asked(variant, *keys):
+        """The distinct (keys..., partition) of a variant's records."""
+        return sorted({(*(rec["query"][key] for key in keys),
+                        tuple(sorted(rec["query"]["profile"])))
+                       for rec in records if rec["formula_variant"] == variant})
+
+    # 16 profiles, 5 partitions: each count was asked once per partition, shared by its
+    # compositions (the 6 profiles of delta = 2 are one partition)
+    assert sorted((query.u, query.s, tuple(sorted(query.tprofile))) for (query,) in exact) == (
+        asked("exact", "u", "s"))
+    assert sorted((tuple(sorted(d)),) for _, d in thm2) == asked("thm2-profile")
+    assert sorted((gamma, tuple(sorted(d))) for _, gamma, d in thm3) == (
+        asked("thm3-aggregate", "gamma"))
 
 
 def _per_profile_records(p, budget):
