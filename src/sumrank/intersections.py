@@ -20,12 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 from math import prod
 
 from sumrank.compositions import RankProfile, enumerate_partitions
 from sumrank.qkit import InternalInconsistencyError  # also raised here; kept importable
-from sumrank.qkit import InputError, exact_div, gaussian_binomial, num_matrices_rank
+from sumrank.qkit import InputError, exact_div, gaussian_binomial, num_matrices_rank, running_sums
 from sumrank.volumes import Params
 
 
@@ -108,9 +107,8 @@ def _j_table(t: int, n: int, m: int, q: int) -> Table:
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _i_table(t: int, n: int, m: int, q: int) -> Table:
-    """I(a, b, t) for a, b in 0..min(m, n): _j_table's running sums in both directions."""
-    rows = (accumulate(row) for row in _j_table(t, n, m, q))
-    return tuple(zip(*(accumulate(col) for col in zip(*rows))))
+    """I(a, b, t) for a, b in 0..min(m, n): qkit.running_sums of _j_table."""
+    return running_sums(_j_table(t, n, m, q))
 
 
 def rank_ball_intersection_I(u: int, s: int, t: int, n: int, m: int, q: int) -> int:
@@ -243,24 +241,17 @@ def theorem2_literal(p: Params, delta: int) -> int:
     """The published |B(x, delta) intersect B(y, 1)| expression, as printed.
 
     The subtracted block sum ranges over every composition of delta, not just
-    the one realized by a concrete center pair: ell times the x^delta
-    coefficient of a block's column of R times ell - 1 columns of ones.
+    the one realized by a concrete center pair: the block sum (_over_blocks)
+    at x^delta of a block's column R(eta, m, d), d = 0..mu.
     """
     if not 1 <= delta <= p.max_weight:
         raise InputError(f"delta must lie in 1..{p.max_weight}")
-    ones = ((1,),) * (p.mu + 1)
-    return 1 + rank1_additive_pairs(p.n, p.m, 0, p.q) - p.ell * _coefficient(
-        [_lemma8_column(p.eta, p.m, p.q)] + [ones] * (p.ell - 1), delta, 0)
-
-
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _lemma8_column(eta: int, m: int, q: int) -> Table:
-    """A block's column R(eta, m, d) for d = 0..min(m, eta), as a (mu+1) x 1 table."""
-    return tuple((rank1_additive_pairs(eta, m, d, q),) for d in range(min(m, eta) + 1))
+    column = tuple((rank1_additive_pairs(p.eta, p.m, d, p.q),) for d in range(p.mu + 1))
+    return 1 + rank1_additive_pairs(p.n, p.m, 0, p.q) - _over_blocks(p, column, delta, 0)
 
 
 def theorem3_per_profile(p: Params, gprofile: RankProfile, dprofile: RankProfile) -> int:
-    """Per-block product of ordered direct-sum pair counts (see _split_triangles).
+    """Per-block product of ordered direct-sum pair counts (see _pair_triangle).
 
     prod_i pairs(d_i, g_i), requiring g_i <= d_i <= mu. This counts the vectors
     at distance exactly sum g_i from x and exactly sum (d_i - g_i) from y, per
@@ -271,7 +262,7 @@ def theorem3_per_profile(p: Params, gprofile: RankProfile, dprofile: RankProfile
         raise InputError("profile length mismatch")
     if any(gi < 0 or gi > di for gi, di in zip(gprofile, dprofile)):
         raise InputError("requires 0 <= gamma_i <= delta_i for every block")
-    pairs, _ = _split_triangles(p.mu, p.q)
+    pairs = _pair_triangle(p.mu, p.q)
     return prod(pairs[gi][di - gi] for gi, di in zip(gprofile, dprofile))
 
 
@@ -285,7 +276,7 @@ def theorem3_aggregate(p: Params, gamma: int, dprofile: RankProfile) -> int:
     p.check_profile(dprofile)
     if not 0 <= gamma <= sum(dprofile):
         raise InputError("requires 0 <= gamma <= delta")
-    pairs, _ = _split_triangles(p.mu, p.q)
+    pairs = _pair_triangle(p.mu, p.q)
     return _coefficient([tuple((pairs[g][d - g],) for g in range(d + 1)) for d in dprofile],
                         gamma, 0)
 
@@ -294,23 +285,27 @@ def theorem3_literal(p: Params, gamma: int, delta: int) -> int:
     """The published double-partition expression with its inner block sum, as printed.
 
     sum_i pairs(d_i, g_i) (a sum over blocks, not a product) summed over the
-    compositions d of delta and splits g of gamma: ell times the x^gamma
-    y^(delta - gamma) coefficient of a block's pair triangle times ell - 1 of ones.
+    compositions d of delta and splits g of gamma: the block sum (_over_blocks)
+    at x^gamma y^(delta - gamma) of a block's pair triangle.
     """
     if not 0 <= gamma <= delta:
         raise InputError("requires 0 <= gamma <= delta")
-    pairs, ones = _split_triangles(p.mu, p.q)
-    return p.ell * _coefficient([pairs] + [ones] * (p.ell - 1), gamma, delta - gamma)
+    return _over_blocks(p, _pair_triangle(p.mu, p.q), gamma, delta - gamma)
+
+
+def _over_blocks(p: Params, table: Table, u: int, s: int) -> int:
+    """A printed sum over blocks: ell times [x^u y^s] of table times ell - 1 triangles of ones."""
+    ones = tuple(tuple(int(a + b <= p.mu) for b in range(p.mu + 1)) for a in range(p.mu + 1))
+    return p.ell * _coefficient([table] + [ones] * (p.ell - 1), u, s)
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _split_triangles(mu: int, q: int) -> tuple[Table, Table]:
-    """A block's triangles of pairs(d, g) and of ones at (g, h = d - g), g + h <= mu.
+def _pair_triangle(mu: int, q: int) -> Table:
+    """A block's triangle of pairs(d, g) at (g, h = d - g), zero past g + h = mu.
 
     pairs(d, g) = q^{g(d-g)} [d choose g]_q counts the ordered direct-sum pairs
     (A, B) of F_q^d with dim A = g.
     """
     cells = range(mu + 1)
-    pairs = tuple(tuple(q ** (g * h) * gaussian_binomial(g + h, g, q) if g + h <= mu else 0
-                        for h in cells) for g in cells)
-    return pairs, tuple(tuple(int(g + h <= mu) for h in cells) for g in cells)
+    return tuple(tuple(q ** (g * h) * gaussian_binomial(g + h, g, q) if g + h <= mu else 0
+                       for h in cells) for g in cells)

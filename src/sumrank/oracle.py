@@ -3,9 +3,9 @@
 Vectors of F_{q^m}^n are enumerated as ell matrices of size m x eta with
 entries in F_q (q prime), ranks are computed by forward elimination mod q,
 and one pass over the whole space tallies every vector's distances to two
-centers; sphere, ball and intersection counts are read off that tally.
-Enumeration cost is q^{m*n} per pass, so one budget rule, `check_passes`,
-guards every exhaustive count and every command's total of passes.
+centers; sphere counts are read off that tally, ball and intersection counts
+off its running sums. Enumeration costs q^{m*n} per pass, so one budget rule,
+`check_passes`, guards every exhaustive count and every command's passes.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from collections import Counter
 from decimal import Decimal
 
 from sumrank.compositions import RankProfile
-from sumrank.qkit import InputError, smallest_prime_factor
+from sumrank.qkit import InputError, running_sums, smallest_prime_factor
 from sumrank.volumes import Params
 
 DEFAULT_BUDGET = 2**24
@@ -143,14 +143,10 @@ def count_intersection(
 
     Centers are x = 0 and the profile's canonical y; by translation
     invariance the count applies to any pair with the same per-block
-    distances.
+    distances. A radius past ell * mu counts as ell * mu, a negative one as 0.
     """
-    return count_within(distance_histogram(p, profile, budget), u, s)
-
-
-def count_within(hist: list[list[int]], u: int, s: int) -> int:
-    """Vectors within distance u of x and s of y, summed off a distance histogram."""
-    return sum(sum(row[: max(s + 1, 0)]) for row in hist[: max(u + 1, 0)])
+    balls = running_sums(distance_histogram(p, profile, budget))
+    return balls[min(u, p.max_weight)][min(s, p.max_weight)] if min(u, s) >= 0 else 0
 
 
 def count_rank1_additive(

@@ -1,15 +1,17 @@
 """Exact q-analogue arithmetic.
 
 Gaussian binomial coefficients, the count of fixed-rank matrices over F_q,
-and point evaluation of q-Krawtchouk polynomials. Everything is computed
-with Python integers, so results never overflow or round; every division
-that must be exact goes through exact_div.
+point evaluation of q-Krawtchouk polynomials, and the 2-D running sums that
+make ball counts of sphere counts. All of it is exact Python integers, so
+nothing overflows or rounds; an exact division goes through exact_div.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from functools import lru_cache
+from itertools import accumulate
 
 
 class InputError(ValueError):
@@ -29,6 +31,11 @@ def exact_div(num: int, den: int, what: str) -> int:
     if rem != 0:
         raise InternalInconsistencyError(f"{what}: division not exact")
     return quot
+
+
+def running_sums(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Entry [a][b] is the sum of table[i][j] over i <= a and j <= b."""
+    return tuple(zip(*(accumulate(col) for col in zip(*map(accumulate, table)))))
 
 
 def _check_q(q: int) -> None:

@@ -641,7 +641,7 @@ def test_no_formula_walks_compositions_or_splits(monkeypatch):
 
 
 KERNELS = (intersections._j_rows, intersections._j_table, intersections._i_table,
-           intersections._lemma8_column, intersections._split_triangles)
+           intersections._pair_triangle)
 
 
 def _clear_kernel_caches():

@@ -15,11 +15,10 @@ from sumrank.oracle import (
     check_prime_field,
     count_intersection,
     count_weights,
-    count_within,
     els_pair_count_check,
     matrix_rank,
 )
-from sumrank.qkit import InputError, gaussian_binomial
+from sumrank.qkit import InputError, gaussian_binomial, running_sums
 from sumrank.volumes import Params, ball_volume
 
 P221 = Params(q=2, m=2, eta=2, ell=1)
@@ -63,6 +62,14 @@ def test_count_intersection_examples():
     assert count_intersection(P222, 4, 4, (1, 1)) == 256
     assert count_intersection(P222, 0, 1, (2, 0)) == 0
     assert count_intersection(P221, 1, 1, (2,)) == 6
+
+
+def test_count_intersection_clamps_radii_past_the_largest_weight():
+    # ell * mu = 4 at P222: radii past it read the whole space
+    assert count_intersection(P222, 9, 9, (1, 1)) == 256
+    assert count_intersection(P222, 9, 2, (1, 1)) == count_intersection(P222, 4, 2, (1, 1))
+    assert count_intersection(P222, -1, 9, (1, 1)) == 0
+    assert count_intersection(P222, 9, -1, (1, 1)) == 0
 
 
 def test_count_intersection_symmetry():
@@ -155,6 +162,11 @@ def _histogram(p, profile):
     return oracle.distance_histogram(p, profile)
 
 
+def _balls(p, profile):
+    """The ball table of a profile's histogram: [u][s] counts within u of x and s of y."""
+    return running_sums(_histogram(p, profile))
+
+
 @st.composite
 def _questions(draw):
     p = draw(st.sampled_from(PRIME_CELLS))
@@ -172,15 +184,15 @@ def test_histogram_counts_the_whole_space(question):
     p, profile, _, _ = question
     hist = _histogram(p, profile)
     assert sum(map(sum, hist)) == p.space_size
-    assert count_within(hist, p.max_weight, p.max_weight) == p.space_size
+    assert _balls(p, profile)[p.max_weight][p.max_weight] == p.space_size
 
 
 @PROPERTY_SETTINGS
 @given(_questions())
 def test_histogram_count_is_symmetric_in_the_radii(question):
     p, profile, u, s = question
-    hist = _histogram(p, profile)
-    assert count_within(hist, u, s) == count_within(hist, s, u)
+    balls = _balls(p, profile)
+    assert balls[u][s] == balls[s][u]
 
 
 @PROPERTY_SETTINGS
@@ -189,16 +201,14 @@ def test_histogram_count_ignores_block_order(question, rng):
     p, profile, u, s = question
     shuffled = list(profile)
     rng.shuffle(shuffled)
-    assert count_within(_histogram(p, tuple(shuffled)), u, s) == count_within(
-        _histogram(p, profile), u, s
-    )
+    assert _balls(p, tuple(shuffled))[u][s] == _balls(p, profile)[u][s]
 
 
 @PROPERTY_SETTINGS
 @given(_questions())
 def test_histogram_count_matches_exact_formula_and_ball_bound(question):
     p, profile, u, s = question
-    count = count_within(_histogram(p, profile), u, s)
+    count = _balls(p, profile)[u][s]
     query = IntersectionQuery(p=p, u=u, s=s, tprofile=profile)
     assert count == sumrank_intersection_exact(query)
     assert count <= min(ball_volume(p, u), ball_volume(p, s))
@@ -302,6 +312,6 @@ def test_histogram_equals_a_naive_enumeration_on_every_profile(p):
 @pytest.mark.parametrize("q", [2, 3])
 def test_els_pair_enumeration_matches_the_library_pair_table(q):
     for k in range(4):
-        pairs, _ = intersections._split_triangles(k, q)
+        pairs = intersections._pair_triangle(k, q)
         for a in range(k + 1):
             assert els_pair_count_check(k, a, q) == pairs[a][k - a]

@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sumrank
 from sumrank import intersections, qkit
@@ -17,6 +19,7 @@ from sumrank.qkit import (
     is_prime_power,
     num_matrices_rank,
     q_krawtchouk,
+    running_sums,
     smallest_prime_factor,
 )
 
@@ -88,6 +91,24 @@ def test_q_krawtchouk_rejects_out_of_range():
         q_krawtchouk(1, 5, 3, 2, 2)
     with pytest.raises(ValueError):
         q_krawtchouk(1, 0, 3, 2, 1)
+
+
+@st.composite
+def _tables(draw):
+    """Rectangular integer tables, negative entries and big ints included."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    row = st.lists(st.integers(-(2**70), 2**70), min_size=cols, max_size=cols)
+    return draw(st.lists(row, min_size=rows, max_size=rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tables())
+def test_running_sums_sum_every_leading_rectangle(table):
+    sums = running_sums(table)
+    assert len(sums) == len(table) and {len(row) for row in sums} == {len(table[0])}
+    for a, row in enumerate(sums):
+        for b, value in enumerate(row):
+            assert value == sum(sum(r[: b + 1]) for r in table[: a + 1])
 
 
 def test_is_prime_power():

@@ -5,7 +5,7 @@ from dataclasses import asdict
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumrank import intersections, oracle
+from sumrank import cli, intersections, oracle
 from sumrank.cli import EXIT_OK, main, run_verification
 from sumrank.compositions import enumerate_uniform
 from sumrank.report import BALL, QUESTIONS, SPHERE, make_record
@@ -116,6 +116,20 @@ def test_per_profile_formulas_asked_once_per_partition(monkeypatch):
         asked("thm3-aggregate", "gamma"))
 
 
+def test_one_ball_table_per_distance_profile(monkeypatch):
+    tables = _logged(monkeypatch, cli, "running_sums")
+    histograms = _logged(monkeypatch, oracle, "distance_histogram")
+    report, code = run_verification([(2, 1, 1, 4)], budget=2**24)
+    assert code == EXIT_OK
+    # one table per profile of the cell, each summing that profile's own histogram:
+    # every radius pair of every question is a lookup
+    cell = Params(q=2, m=1, eta=1, ell=4)
+    profiles = [profile for p, profile, _ in histograms if p == cell]
+    assert len(tables) == len(profiles) == 16
+    assert [oracle.distance_histogram(cell, profile) for profile in profiles] == [
+        hist for (hist,) in tables]
+
+
 def _per_profile_records(p, budget):
     """A cell's required records and findings, every variant asked at every profile."""
     cell = asdict(p)
@@ -136,7 +150,8 @@ def _per_profile_records(p, budget):
         delta = sum(profile)
         for question in QUESTIONS.values():
             for u, s in question.sweep(p.max_weight, delta):
-                count = oracle.count_within(hists[profile], u, s)
+                # a naive rectangle sum, independent of the table the harness reads
+                count = sum(sum(row[: s + 1]) for row in hists[profile][: u + 1])
                 for variant in question.variants:
                     value = variant.formula(p, u, s, delta if variant.literal else profile)
                     add(variant, variant.query(u, s, delta, profile, harness=True), value, count)
