@@ -122,7 +122,7 @@ def cmd_volume(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
                         None if weights is None else weights[t])
             for t, value in enumerate(volumes.weight_distribution(p))
         ]
-    return make_report(asdict(p), records, __version__), EXIT_OK
+    return make_report(asdict(p), records), EXIT_OK
 
 
 def _oracle_volume(variant: Variant, weights: list[int], t: int) -> int:
@@ -178,7 +178,7 @@ def cmd_intersect(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     if args.t is not None:  # a literal reading answers the scalar distance --t, once
         records += [make_record(v.query(u, s, delta, None, harness=False), v,
                                 v.formula(p, u, s, delta)) for v in question.variants if v.literal]
-    return make_report(asdict(p), records, __version__), EXIT_OK
+    return make_report(asdict(p), records), EXIT_OK
 
 
 def _parse_grid(text: str) -> list[tuple[int, int, int, int]]:
@@ -264,7 +264,6 @@ def run_verification(
     report = make_report(
         None,
         records,
-        __version__,
         paper_variant_discrepancies=discrepancies,
         skipped=skipped,
         summary={

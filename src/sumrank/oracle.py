@@ -1,11 +1,12 @@
 """Brute-force ground truth over tiny prime fields.
 
 Vectors of F_{q^m}^n are enumerated as ell matrices of size m x eta with
-entries in F_q (q prime), ranks are computed by forward elimination mod q,
-and one pass over the whole space tallies every vector's distances to two
-centers; sphere counts are read off that tally, ball and intersection counts
-off its running sums. Enumeration costs q^{m*n} per pass, so one budget rule,
-`check_passes`, guards every exhaustive count and every command's passes.
+entries in F_q (q prime), ranks are computed by forward elimination mod q
+without division, and one pass over the whole space tallies every vector's
+distances to two centers; sphere counts are read off that tally, ball and
+intersection counts off its running sums. Enumeration costs q^{m*n} per
+pass, so one budget rule, `check_passes`, guards every exhaustive count and
+every command's passes.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ def check_passes(p: Params, passes: int, budget: int) -> None:
 def matrix_rank(mat: Matrix, q: int) -> int:
     """Rank of a matrix over F_q, its count of pivots; q must be prime (not checked).
 
-    Forward elimination: each pivot clears only the rows below it.
+    Forward elimination without division: a pivot c clears an entry f below
+    it by row <- c*row - f*pivot_row, which keeps the row space (c != 0 mod q).
     """
     rows = [list(r) for r in mat]
     rank = 0
@@ -64,11 +66,11 @@ def matrix_rank(mat: Matrix, q: int) -> int:
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, q)
+        c = rows[rank][col]
         for r in range(rank + 1, len(rows)):
-            factor = rows[r][col] * inv % q
-            if factor:
-                rows[r] = [(a - factor * b) % q for a, b in zip(rows[r], rows[rank])]
+            f = rows[r][col] % q
+            if f:
+                rows[r] = [(c * a - f * b) % q for a, b in zip(rows[r], rows[rank])]
         rank += 1
         if rank == len(rows):
             break
@@ -97,11 +99,6 @@ def _subtract(a: Matrix, b: Matrix, q: int) -> Matrix:
     )
 
 
-def _all_block_matrices(p: Params) -> list[Matrix]:
-    """Every m x eta matrix over F_q, enumerated as mixed-radix counters."""
-    return list(itertools.product(itertools.product(range(p.q), repeat=p.eta), repeat=p.m))
-
-
 def distance_histogram(
     p: Params, profile: RankProfile, budget: int = DEFAULT_BUDGET
 ) -> list[list[int]]:
@@ -113,18 +110,17 @@ def distance_histogram(
     combined from per-block counts.
     """
     check_passes(p, 1, budget)
-    # blocks at equal distance have equal center blocks: one per distinct distance
-    y = dict(zip(profile, canonical_centers(p, profile)))
-    # each block matrix is ranked once: subtracting a center block permutes them
-    rank = {mat: matrix_rank(mat, p.q) for mat in _all_block_matrices(p)}
+    # each m x eta block matrix is ranked once: subtracting a center block permutes them
+    blocks = itertools.product(itertools.product(range(p.q), repeat=p.eta), repeat=p.m)
+    rank = {mat: matrix_rank(mat, p.q) for mat in blocks}
     stride = p.max_weight + 1
     # block code = (rank distance to x) * stride + (rank distance to y); the
     # codes of a vector's blocks sum to a * stride + b, as b < stride
-    codes = {
-        ti: [a * stride + rank[_subtract(mat, yblock, p.q)] for mat, a in rank.items()]
-        for ti, yblock in y.items()
-    }
-    tally = Counter(map(sum, itertools.product(*(codes[ti] for ti in profile))))
+    codes = [
+        [a * stride + rank[_subtract(mat, yblock, p.q)] for mat, a in rank.items()]
+        for yblock in canonical_centers(p, profile)
+    ]
+    tally = Counter(map(sum, itertools.product(*codes)))
     return [[tally[a * stride + b] for b in range(stride)] for a in range(stride)]
 
 

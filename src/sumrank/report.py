@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from sumrank import intersections, volumes
+from sumrank import __version__, intersections, volumes
 from sumrank.compositions import RankProfile
 
 
@@ -125,7 +125,8 @@ REPORT_SCHEMA: dict[str, Any] = {
         "version": {"type": "string"},
         "timestamp": {"type": "string"},
         "params": {"type": ["object", "null"]},
-        "records": {
+        # a finding is a record too: one item schema serves both arrays
+        **dict.fromkeys(("records", "paper_variant_discrepancies"), {
             "type": "array",
             "items": {
                 "type": "object",
@@ -142,8 +143,7 @@ REPORT_SCHEMA: dict[str, Any] = {
                 },
                 "additionalProperties": False,
             },
-        },
-        "paper_variant_discrepancies": {"type": "array"},
+        }),
         "skipped": {"type": "array"},
         "summary": {"type": "object"},
     },
@@ -169,14 +169,11 @@ def make_record(
 
 
 def make_report(
-    params: Optional[dict[str, Any]],
-    records: list[dict[str, Any]],
-    version: str,
-    **extra: Any,
+    params: Optional[dict[str, Any]], records: list[dict[str, Any]], **extra: Any
 ) -> dict[str, Any]:
     report = {
         "tool": "sumrank",
-        "version": version,
+        "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "params": params,
         "records": records,

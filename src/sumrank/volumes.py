@@ -44,9 +44,11 @@ class Params:
             raise InputError(f"q must be a prime power, got {self.q}")
 
     def check_profile(self, profile: tuple[int, ...]) -> None:
-        """Raise InputError unless profile has ell parts, each in 0..mu."""
+        """Raise InputError unless profile has ell parts, each an int in 0..mu."""
         if len(profile) != self.ell:
             raise InputError(f"profile length {len(profile)} != ell = {self.ell}")
+        if not all(isinstance(x, int) for x in profile):
+            raise InputError(f"profile parts must be integers, got {profile!r}")
         if any(x < 0 or x > self.mu for x in profile):
             raise InputError(f"profile parts must lie in 0..mu = {self.mu}")
 

@@ -118,6 +118,17 @@ def test_j_and_i_refuse_a_field_size_below_two(count, q):
         count(1, 1, 1, 2, 2, q)
 
 
+@pytest.mark.parametrize("ask", [
+    lambda d: sumrank_intersection_exact(IntersectionQuery(p=P222, u=1, s=1, tprofile=d)),
+    lambda d: theorem2_per_profile(P222, d),
+    lambda d: theorem3_aggregate(P222, 1, d),
+    lambda d: oracle.distance_histogram(P222, d),
+], ids=["exact", "thm2-profile", "thm3-aggregate", "oracle"])
+def test_a_profile_part_that_is_not_an_int_is_refused(ask):
+    with pytest.raises(InputError, match=r"^profile parts must be integers, got \(1\.0, 1\)$"):
+        ask((1.0, 1))
+
+
 class TestSumrankIntersectionExact:
     def test_trivial_cases(self):
         q = IntersectionQuery(p=P222, u=0, s=4, tprofile=(1, 1))

@@ -2,13 +2,15 @@ import hashlib
 import re
 from dataclasses import asdict
 
+import jsonschema
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumrank import cli, intersections, oracle
 from sumrank.cli import EXIT_OK, main, run_verification
 from sumrank.compositions import enumerate_uniform
-from sumrank.report import BALL, QUESTIONS, SPHERE, make_record
+from sumrank.report import BALL, QUESTIONS, REPORT_SCHEMA, SPHERE, make_record
 from sumrank.volumes import Params
 
 # sha256 of the default `verify` JSON report, timestamp blanked, as the
@@ -41,6 +43,15 @@ def test_default_report_is_unchanged(capsys):
 def test_many_profiles_report_is_unchanged(capsys):
     assert _blanked_sha256(["verify", "--grid", MANY_PROFILES_GRID], capsys) == (
         MANY_PROFILES_SHA256)
+
+
+def test_findings_are_validated_as_records():
+    report, code = run_verification(list(cli.DEFAULT_GRID), oracle.DEFAULT_BUDGET)
+    assert code == EXIT_OK and report["paper_variant_discrepancies"]
+    jsonschema.validate(report, REPORT_SCHEMA)
+    report["paper_variant_discrepancies"] = [{"junk": 1}]
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(report, REPORT_SCHEMA)
 
 
 def test_one_enumeration_per_distance_profile(monkeypatch):
