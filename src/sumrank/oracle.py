@@ -1,12 +1,13 @@
 """Brute-force ground truth over tiny prime fields.
 
 Vectors of F_{q^m}^n are enumerated as ell matrices of size m x eta with
-entries in F_q (q prime), ranks are computed by forward elimination mod q
-without division, and one pass over the whole space tallies every vector's
-distances to two centers; sphere counts are read off that tally, ball and
-intersection counts off its running sums. Enumeration costs q^{m*n} per
-pass, so one budget rule, `check_passes`, guards every exhaustive count and
-every command's passes.
+entries in F_q (q prime). Each block matrix of a shape is ranked once per
+process, by forward elimination mod q without division, into a bounded
+table of one byte per matrix. One pass over the whole space tallies every
+vector's distances to two centers; sphere counts are read off that tally,
+ball and intersection counts off its running sums. Enumeration costs
+q^{m*n} per pass, so one budget rule, `check_passes`, guards every
+exhaustive count and every command's passes.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from decimal import Decimal
+from functools import lru_cache
 
 from sumrank.compositions import RankProfile
 from sumrank.qkit import InputError, running_sums, smallest_prime_factor
@@ -93,10 +95,32 @@ def canonical_centers(p: Params, profile: RankProfile) -> tuple[Matrix, ...]:
     )
 
 
-def _subtract(a: Matrix, b: Matrix, q: int) -> Matrix:
-    return tuple(
-        tuple((x - y) % q for x, y in zip(arow, brow)) for arow, brow in zip(a, b)
+# Bound on the rank tables below. A block shape needs min(m, eta) + 1 tables,
+# so the bound holds every table of several shapes; a table has one byte per
+# block matrix, and a shape past the budget is refused before it is tabulated.
+_RANK_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_RANK_CACHE_SIZE)
+def _block_ranks(q: int, m: int, eta: int, d: int) -> bytes:
+    """Entry i is rank(M_i - Y_d): M_i the i-th m x eta block matrix, Y_d the rank-d center.
+
+    Block matrices are listed by itertools.product, so M_i's entries read as a
+    base-q numeral give i. Only the d = 0 table ranks matrices; subtracting Y_d
+    permutes them, so a table for d >= 1 reads the d = 0 table at M - Y_d.
+    """
+    if d == 0:
+        blocks = itertools.product(itertools.product(range(q), repeat=eta), repeat=m)
+        return bytes(matrix_rank(mat, q) for mat in blocks)
+    center = itertools.chain.from_iterable(
+        canonical_centers(Params(q=q, m=m, eta=eta, ell=1), (d,))[0]
     )
+    places = [q**k for k in reversed(range(m * eta))]
+    # the position of M - Y_d, summed digit by digit in the order M is listed
+    shifted = itertools.product(
+        *[[(e - y) % q * place for e in range(q)] for place, y in zip(places, center)]
+    )
+    return bytes(map(_block_ranks(q, m, eta, 0).__getitem__, map(sum, shifted)))
 
 
 def distance_histogram(
@@ -110,15 +134,14 @@ def distance_histogram(
     combined from per-block counts.
     """
     check_passes(p, 1, budget)
-    # each m x eta block matrix is ranked once: subtracting a center block permutes them
-    blocks = itertools.product(itertools.product(range(p.q), repeat=p.eta), repeat=p.m)
-    rank = {mat: matrix_rank(mat, p.q) for mat in blocks}
+    p.check_profile(profile)
     stride = p.max_weight + 1
+    to_x = _block_ranks(p.q, p.m, p.eta, 0)
     # block code = (rank distance to x) * stride + (rank distance to y); the
     # codes of a vector's blocks sum to a * stride + b, as b < stride
     codes = [
-        [a * stride + rank[_subtract(mat, yblock, p.q)] for mat, a in rank.items()]
-        for yblock in canonical_centers(p, profile)
+        [a * stride + b for a, b in zip(to_x, _block_ranks(p.q, p.m, p.eta, d))]
+        for d in profile
     ]
     tally = Counter(map(sum, itertools.product(*codes)))
     return [[tally[a * stride + b] for b in range(stride)] for a in range(stride)]

@@ -14,9 +14,9 @@ by disagreeing with the oracle; the literal paper readings are findings.
 from __future__ import annotations
 
 import datetime
-import json
 import os
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from typing import Any, Callable, Optional
 
 from sumrank import __version__, intersections, volumes
@@ -183,8 +183,63 @@ def make_report(
 
 
 def report_to_json(report: dict[str, Any]) -> str:
-    """Serialize a report; stable under parse/re-serialize round trips."""
-    return json.dumps(report, indent=2, ensure_ascii=False)
+    """Serialize a report as json.dumps(report, indent=2, ensure_ascii=False) does.
+
+    Only dicts with str keys, lists, tuples, str, int, bool and None are
+    written; any other type raises TypeError. Stable under parse/re-serialize
+    round trips.
+    """
+    parts: list[str] = []
+    _write_json(report, "\n", parts)
+    return "".join(parts)
+
+
+def _write_json(value: Any, newline: str, parts: list[str]) -> None:
+    """Append value's JSON text to parts; newline is a line break plus its indent.
+
+    The stdlib writes indented JSON with its pure-Python encoder, so this
+    writer renders the layout itself and escapes strings by the C
+    `encode_basestring`.
+    """
+    if isinstance(value, str):
+        parts.append(encode_basestring(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        # built once per container: one string per item would stay alive in parts
+        opener, separator = "{" + inner, "," + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(opener)
+            parts.append(encode_basestring(key))
+            parts.append(": ")
+            _write_json(item, inner, parts)
+            opener = separator
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        opener, separator = "[" + inner, "," + inner
+        for item in value:
+            parts.append(opener)
+            _write_json(item, inner, parts)
+            opener = separator
+        parts.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def report_to_text(report: dict[str, Any]) -> str:

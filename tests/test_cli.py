@@ -441,6 +441,31 @@ def test_json_round_trip_is_byte_identical(capsys):
     assert report_to_json(parsed) + "\n" == out
 
 
+# text with the characters JSON escapes, control and non-ASCII ones, and any other
+_JSON_TEXT = st.text(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028é€😀') | st.characters()
+)
+_JSON_VALUES = st.recursive(
+    _JSON_TEXT | st.integers() | st.booleans() | st.none(),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(_JSON_TEXT, inner)),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_report_to_json_writes_what_json_dumps_writes(value):
+    assert report_to_json(value) == json.dumps(value, indent=2, ensure_ascii=False)
+
+
+@pytest.mark.parametrize("value", [0.5, {1, 2}, {"records": [{"value": 1.0}]},
+                                   {"summary": {"seen": frozenset()}}, {"params": {1: "q"}}])
+def test_report_to_json_refuses_any_other_type(value):
+    with pytest.raises(TypeError):
+        report_to_json(value)
+
+
 def test_output_file(capsys, tmp_path):
     path = tmp_path / "report.json"
     code = main(["volume", *PARAMS_221, "--kind", "sphere", "--t", "1",

@@ -234,8 +234,14 @@ def _cell_id(p):
     return f"{p.q}-{p.m}-{p.eta}-{p.ell}"
 
 
-@pytest.mark.parametrize("p", [P221, P222, Params(q=3, m=1, eta=2, ell=2),
-                               Params(q=2, m=2, eta=1, ell=3)], ids=_cell_id)
+RANK_CELLS = [P221, P222, Params(q=3, m=1, eta=2, ell=2), Params(q=2, m=2, eta=1, ell=3)]
+
+
+def _profiles(p):
+    return list(itertools.product(range(p.mu + 1), repeat=p.ell))
+
+
+@pytest.mark.parametrize("p", RANK_CELLS, ids=_cell_id)
 def test_histogram_ranks_each_block_matrix_once(monkeypatch, p):
     calls = []
 
@@ -244,10 +250,28 @@ def test_histogram_ranks_each_block_matrix_once(monkeypatch, p):
         return matrix_rank(mat, q)
 
     monkeypatch.setattr(oracle, "matrix_rank", counted)
-    for profile in [(0,) * p.ell, (p.mu,) * p.ell]:
-        calls.clear()
+    oracle._block_ranks.cache_clear()
+    oracle.distance_histogram(p, (p.mu,) * p.ell)
+    assert len(calls) == p.q ** (p.m * p.eta) == len(set(calls))
+    calls.clear()
+    for profile in _profiles(p):
         oracle.distance_histogram(p, profile)
-        assert len(calls) == p.q ** (p.m * p.eta) == len(set(calls))
+    assert calls == []
+
+
+def test_block_rank_tables_are_a_bounded_cache():
+    assert isinstance(oracle._block_ranks.cache_parameters()["maxsize"], int)
+
+
+@pytest.mark.parametrize("p", RANK_CELLS, ids=_cell_id)
+def test_histograms_from_a_cold_and_a_warm_rank_cache_are_equal(p):
+    cold = []
+    for profile in _profiles(p):
+        oracle._block_ranks.cache_clear()
+        cold.append(oracle.distance_histogram(p, profile))
+    for profile in _profiles(p):
+        oracle.distance_histogram(p, profile)
+    assert [oracle.distance_histogram(p, profile) for profile in _profiles(p)] == cold
 
 
 def _minus(a, b, q):
