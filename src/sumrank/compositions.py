@@ -2,9 +2,9 @@
 
 A rank profile is a length-ell tuple of nonnegative parts summing to t,
 each part capped by a uniform bound mu or a per-part bound. Enumeration is
-streaming and lexicographic; the closed-form count uses inclusion-exclusion
-over the uniform bound. The partitions of t (the sorted compositions) are
-enumerated on their own, each with the number of compositions it stands for.
+one flat, streaming loop in lexicographic order, at any ell; the closed-form
+count uses inclusion-exclusion over the uniform bound. The partitions of t
+(the sorted compositions) are listed alone, each with its number of compositions.
 """
 
 from __future__ import annotations
@@ -20,27 +20,35 @@ RankProfile = tuple[int, ...]
 
 def enumerate_bounded(t: int, bounds: Sequence[int]) -> Iterator[RankProfile]:
     """Yield every composition of t with part i <= bounds[i], lexicographically."""
-    if t < 0:
-        raise InputError("total must be nonnegative")
     bounds = tuple(bounds)
+    if t < 0 or min(bounds, default=0) < 0:
+        raise InputError("total and bounds must be nonnegative")
     ell = len(bounds)
-    # suffix[i] = max total achievable by parts i..ell-1
-    suffix = [0] * (ell + 1)
-    for i in range(ell - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + bounds[i]
 
-    def rec(i: int, remaining: int) -> Iterator[RankProfile]:
-        if i == ell:
-            if remaining == 0:
-                yield ()
+    def walk() -> Iterator[RankProfile]:
+        if t > sum(bounds):
             return
-        lo = max(0, remaining - suffix[i + 1])
-        hi = min(bounds[i], remaining)
-        for part in range(lo, hi + 1):
-            for rest in rec(i + 1, remaining - part):
-                yield (part,) + rest
+        parts, carry, j = [0] * ell, t, ell - 1
+        while True:
+            # the least tail holding carry: each part as full as it goes, from the right
+            while carry:
+                parts[j] = min(bounds[j], carry)
+                carry -= parts[j]
+                j -= 1
+            yield tuple(parts)
+            # the rightmost part below its bound with a nonzero tail goes up by one,
+            # and the tail it passes is emptied into carry
+            i = ell - 1
+            while i >= 0 and (carry == 0 or parts[i] == bounds[i]):
+                carry += parts[i]
+                parts[i] = 0
+                i -= 1
+            if i < 0:
+                return
+            parts[i] += 1
+            carry, j = carry - 1, ell - 1
 
-    return rec(0, t)
+    return walk()
 
 
 def enumerate_uniform(t: int, ell: int, mu: int) -> Iterator[RankProfile]:
@@ -57,24 +65,34 @@ def enumerate_partitions(t: int, ell: int, mu: int) -> Iterator[tuple[RankProfil
     ell! / prod(mult!) over the multiplicities of its parts. Partitions come
     in reverse lexicographic order, and no composition is visited.
     """
-    if t < 0:
-        raise InputError("total must be nonnegative")
+    if t < 0 or mu < 0:
+        raise InputError("total and part bound must be nonnegative")
     if ell < 1:
         raise InputError("number of parts must be positive")
 
-    def rec(slots: int, remaining: int, cap: int) -> Iterator[RankProfile]:
-        if slots == 0:
-            if remaining == 0:
-                yield ()
+    def walk() -> Iterator[RankProfile]:
+        if t > ell * mu:
             return
-        # the first of the remaining parts is the largest, so at least their mean
-        for part in range(min(cap, remaining), -(-remaining // slots) - 1, -1):
-            for rest in rec(slots - 1, remaining - part, part):
-                yield (part,) + rest
+        parts, i, cap, carry = [0] * ell, -1, mu, t
+        while True:
+            # the greatest tail holding carry under the cap: each part as full as it goes
+            for j in range(i + 1, ell):
+                parts[j] = min(cap, carry)
+                carry -= parts[j]
+            yield tuple(parts)
+            # the rightmost part that can drop by one while its tail takes the unit
+            i = ell - 1
+            while i >= 0 and carry + 1 > (parts[i] - 1) * (ell - 1 - i):
+                carry += parts[i]
+                i -= 1
+            if i < 0:
+                return
+            parts[i] -= 1
+            cap, carry = parts[i], carry + 1
 
     return (
         (parts, math.factorial(ell) // math.prod(map(math.factorial, Counter(parts).values())))
-        for parts in rec(ell, t, mu)
+        for parts in walk()
     )
 
 

@@ -210,6 +210,29 @@ def test_intersect_asks_each_partition_once(capsys, monkeypatch):
     assert {rec["value"] for rec in records} == {"6"}
 
 
+def _hamming_intersection(ell: int, u: int, s: int, t: int) -> int:
+    """Binary Hamming balls of radii u, s around centers t apart, counted by hand.
+
+    x takes the second center's bit at k of the t positions where the centers
+    differ, and flips r of the ell - t where they agree.
+    """
+    return sum(math.comb(t, k) * math.comb(ell - t, r)
+               for k in range(t + 1) for r in range(ell - t + 1)
+               if k + r <= u and t - k + r <= s)
+
+
+@pytest.mark.parametrize("variant", ["exact", "thm2", "thm3", "thm1-literal"])
+def test_intersect_t_at_more_blocks_than_the_recursion_limit(capsys, variant):
+    ell = 1200
+    code, report = run_json(capsys, "intersect", "--q", "2", "--m", "1", "--eta", "1",
+                            "--ell", str(ell), "--u", "1", "--s", "1", "--t", "1",
+                            "--variant", variant)
+    assert code == EXIT_OK
+    exact = [rec["value"] for rec in report["records"] if rec["formula_variant"] == "exact"]
+    assert exact == ([str(_hamming_intersection(ell, 1, 1, 1))] * ell
+                     if variant == "exact" else [])
+
+
 def test_invalid_params_exit_2(capsys):
     code = main(["volume", "--q", "1", "--m", "2", "--eta", "2", "--ell", "1",
                  "--kind", "sphere", "--t", "1"])

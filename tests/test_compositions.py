@@ -1,6 +1,10 @@
+import itertools
+import math
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sumrank.compositions import (
     count_uniform,
@@ -89,3 +93,39 @@ def test_partitions_are_the_sorted_compositions_with_their_counts(ell, mu):
 def test_enumerate_partitions_refuses_a_negative_total_or_no_parts(t, ell):
     with pytest.raises(InputError):
         enumerate_partitions(t, ell, 2)
+
+
+@pytest.mark.parametrize("enumerate_, args", [
+    (enumerate_bounded, (1, (2, -1))),
+    (enumerate_uniform, (0, 2, -1)),
+    (enumerate_partitions, (0, 2, -1)),
+])
+def test_a_negative_bound_is_refused_at_the_call(enumerate_, args):
+    with pytest.raises(InputError):
+        enumerate_(*args)
+
+
+@given(st.lists(st.integers(0, 4), max_size=6), st.data())
+def test_bounded_is_the_box_filtered_by_sum_in_lexicographic_order(bounds, data):
+    t = data.draw(st.integers(0, sum(bounds) + 1))
+    box = itertools.product(*(range(bound + 1) for bound in bounds))
+    assert list(enumerate_bounded(t, bounds)) == [c for c in box if sum(c) == t]
+
+
+@given(st.integers(1, 6), st.integers(0, 4), st.data())
+def test_partitions_are_the_sorted_compositions_in_reverse_order(ell, mu, data):
+    t = data.draw(st.integers(0, ell * mu + 1))
+    sorted_compositions = {tuple(sorted(c, reverse=True))
+                           for c in itertools.product(range(mu + 1), repeat=ell) if sum(c) == t}
+    partitions = [parts for parts, _ in enumerate_partitions(t, ell, mu)]
+    assert partitions == sorted(sorted_compositions, reverse=True)
+
+
+def test_enumeration_depth_does_not_grow_with_the_number_of_parts():
+    # past the interpreter's recursion limit: a generator frame per part would not get here
+    assert sum(1 for _ in enumerate_uniform(1, 5000, 1)) == 5000
+    assert list(enumerate_partitions(3, 5000, 3)) == [
+        ((3,) + (0,) * 4999, 5000),
+        ((2, 1) + (0,) * 4998, 5000 * 4999),
+        ((1, 1, 1) + (0,) * 4997, math.comb(5000, 3)),
+    ]

@@ -235,6 +235,12 @@ class TestTheorem1Literal:
     def test_pinned_values_where_the_printed_sum_is_too_slow(self, cell, radius, expected):
         assert theorem1_literal(Params(*cell), radius, radius, radius) == expected
 
+    def test_at_more_blocks_than_the_recursion_limit(self):
+        # 1 x 1 blocks over F_2: the printed sum is 0 unless the block at distance 1 takes
+        # a radius; it takes both (I = 2) or one, the other going to one of ell - 1 blocks
+        ell = 1200
+        assert theorem1_literal(Params(2, 1, 1, ell), 1, 1, 1) == ell * (2 + 2 * (ell - 1))
+
     def test_known_discrepancy_for_two_blocks(self):
         # the printed triple sum aggregates over center pairs; for ell >= 2 it
         # does not equal the per-pair volume (adjudicated by brute force)

@@ -120,6 +120,11 @@ def test_convolution_agrees_with_profile_sum(q):
                     assert sphere_volume(p, t) == sphere_volume_by_profiles(p, t)
 
 
+def test_profile_sum_at_more_blocks_than_the_recursion_limit():
+    p = Params(q=2, m=1, eta=1, ell=1200)
+    assert sphere_volume_by_profiles(p, 1) == sphere_volume(p, 1) == 1200
+
+
 @given(q=st.sampled_from([2, 3, 4, 5, 7, 8, 9]), m=st.integers(1, 4),
        eta=st.integers(1, 4), ell=st.integers(1, 4))
 def test_power_recurrence_agrees_with_profile_sum_at_every_top(q, m, eta, ell):
