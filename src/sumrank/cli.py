@@ -147,37 +147,36 @@ def cmd_intersect(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         raise InputError("either --profile or --t is required")
     question = QUESTIONS[args.variant]
     per_profile = [variant for variant in question.variants if not variant.literal]
-    profiles = [] if args.profile is None else [_parse_profile(args.profile, p)]
+    profile = None if args.profile is None else _parse_profile(args.profile, p)
     if args.t is not None:
         if args.t < 0 or args.t > p.max_weight:
             raise InputError(f"t must lie in 0..{p.max_weight}")
-        if profiles and sum(profiles[0]) != args.t:
-            raise InputError(f"--profile sums to {sum(profiles[0])} but --t is {args.t}")
+        if profile is not None and sum(profile) != args.t:
+            raise InputError(f"--profile sums to {sum(profile)} but --t is {args.t}")
     elif not per_profile:
         raise InputError(f"--variant {args.variant} requires a scalar --t")
-    delta = sum(profiles[0]) if args.t is None else args.t
-    radii = question.radii(args.u, args.s, delta)
-    if radii is None:
+    u, s, delta = args.u, args.s, sum(profile) if args.t is None else args.t
+    if not question.applies(u, s, delta):
         raise InputError(question.condition)
-    u, s = radii
     if args.oracle:
         if not per_profile:
             raise InputError(f"--variant {args.variant} has no per-profile formula for --oracle"
                              " to check")
-        # one pass per profile: the compositions of --t are counted before any is listed
-        oracle.check_passes(p, len(profiles) or count_uniform(delta, p.ell, p.mu), args.budget)
-    if per_profile and not profiles:
-        profiles = list(enumerate_uniform(delta, p.ell, p.mu))  # every composition of --t
+        # one pass per profile: the compositions of --t are counted, not listed
+        passes = 1 if profile is not None else count_uniform(delta, p.ell, p.mu)
+        oracle.check_passes(p, passes, args.budget)
+    # the one --profile, else every composition of --t, walked lazily
+    profiles = (profile,) if profile is not None else enumerate_uniform(delta, p.ell, p.mu)
     records: list[dict[str, Any]] = []
     memo: dict[tuple[Any, ...], int] = {}  # the compositions of a partition share its counts
-    for profile in profiles:
+    for profile in profiles if per_profile else ():
         count = oracle.count_intersection(p, u, s, profile, args.budget) if args.oracle else None
-        records += [make_record(v.query(u, s, delta, profile, harness=False), v,
+        records += [make_record(v.query(u, s, delta, profile), v,
                                 _ask(memo, v, p, u, s, delta, profile), count)
                     for v in per_profile]
     if args.t is not None:  # a literal reading answers the scalar distance --t, once
-        records += [make_record(v.query(u, s, delta, None, harness=False), v,
-                                v.formula(p, u, s, delta)) for v in question.variants if v.literal]
+        records += [make_record(v.query(u, s, delta, None), v, v.formula(p, u, s, delta))
+                    for v in question.variants if v.literal]
     return make_report(asdict(p), records), EXIT_OK
 
 
@@ -245,7 +244,7 @@ def run_verification(
                 # every intersection question at every radius pair it applies to
                 for question, u, s in pairs:
                     for variant in question.variants:
-                        add(variant, variant.query(u, s, delta, profile, harness=True),
+                        add(variant, variant.query(u, s, delta, profile),
                             _ask(memo, variant, p, u, s, delta, profile), balls[u][s])
 
     # rank-1 additivity count (rank metric, desk scale)

@@ -62,15 +62,16 @@ def enumerate_partitions(t: int, ell: int, mu: int) -> Iterator[tuple[RankProfil
     """Yield each nonincreasing composition of t into ell parts <= mu once, with its count.
 
     The count is the number of compositions that sort to it, the multinomial
-    ell! / prod(mult!) over the multiplicities of its parts. Partitions come
-    in reverse lexicographic order, and no composition is visited.
+    ell! / prod(mult!), taken as the product of C(places left, mult) over the
+    multiplicities of its parts. Partitions come in reverse lexicographic
+    order, and no composition is visited.
     """
     if t < 0 or mu < 0:
         raise InputError("total and part bound must be nonnegative")
     if ell < 1:
         raise InputError("number of parts must be positive")
 
-    def walk() -> Iterator[RankProfile]:
+    def walk() -> Iterator[tuple[RankProfile, int]]:
         if t > ell * mu:
             return
         parts, i, cap, carry = [0] * ell, -1, mu, t
@@ -79,7 +80,11 @@ def enumerate_partitions(t: int, ell: int, mu: int) -> Iterator[tuple[RankProfil
             for j in range(i + 1, ell):
                 parts[j] = min(cap, carry)
                 carry -= parts[j]
-            yield tuple(parts)
+            count, left = 1, ell  # each value in turn takes mult of the places left
+            for mult in Counter(parts).values():
+                count *= math.comb(left, mult)
+                left -= mult
+            yield tuple(parts), count
             # the rightmost part that can drop by one while its tail takes the unit
             i = ell - 1
             while i >= 0 and carry + 1 > (parts[i] - 1) * (ell - 1 - i):
@@ -90,10 +95,7 @@ def enumerate_partitions(t: int, ell: int, mu: int) -> Iterator[tuple[RankProfil
             parts[i] -= 1
             cap, carry = parts[i], carry + 1
 
-    return (
-        (parts, math.factorial(ell) // math.prod(map(math.factorial, Counter(parts).values())))
-        for parts in walk()
-    )
+    return walk()
 
 
 def count_uniform(t: int, ell: int, mu: int) -> int:

@@ -6,8 +6,8 @@ re-serializes byte-identically.
 
 A record's `formula_variant` names a formula from the variant table below.
 The intersection variants are grouped into the questions that `intersect
---variant` answers; a question fixes the radii at which its formulas are
-compared with the brute-force oracle. Only a required variant fails a check
+--variant` answers; a question states the radii it answers, where its
+formulas meet the brute-force oracle. Only a required variant fails a check
 by disagreeing with the oracle; the literal paper readings are findings.
 """
 
@@ -29,42 +29,37 @@ class Variant:
 
     An intersection variant's formula takes (p, u, s, d) with radii u and s,
     where d is the per-block center distance profile or, for a literal
-    reading, its scalar sum. `keys` are the query fields of its `intersect`
-    records, and `harness_keys` those of its `verify` records where they differ.
+    reading, its scalar sum. `keys` are the query fields of its records in
+    every command; "profile" is left out where no profile was asked.
     """
 
     name: str
     formula: Callable[..., int]
     required: bool = False
     keys: tuple[str, ...] = ()
-    harness_keys: Optional[tuple[str, ...]] = None
 
     @property
     def literal(self) -> bool:
         """Whether the formula takes the scalar center distance, not the profile."""
         return self.name.endswith("-literal")
 
-    def query(
-        self, u: int, s: int, delta: int, profile: Optional[RankProfile], harness: bool
-    ) -> dict[str, Any]:
+    def query(self, u: int, s: int, delta: int, profile: Optional[RankProfile]) -> dict[str, Any]:
         """The record's query fields, with gamma = u and t = delta."""
         values = {"u": u, "s": s, "gamma": u, "t": delta, "delta": delta,
                   "profile": None if profile is None else list(profile)}
-        keys = self.harness_keys if harness and self.harness_keys else self.keys
-        return {key: values[key] for key in keys}
+        return {key: values[key] for key in self.keys if profile is not None or key != "profile"}
 
 
 @dataclass(frozen=True)
 class Question:
-    """An `intersect --variant` choice: its variants and their oracle radii.
+    """An `intersect --variant` choice: its variants and the radii they answer.
 
-    For requested radii (u, s) at center distance delta, `radii(u, s, delta)`
-    gives the radii at which formulas and oracle are compared, or None where
-    the question does not apply; `condition` says what it requires.
+    `applies(u, s, delta)` says whether the question answers radii (u, s) at
+    center distance delta; `condition` states that rule.
     """
 
     variants: tuple[Variant, ...]
-    radii: Callable[[int, int, int], Optional[tuple[int, int]]] = lambda u, s, delta: (u, s)
+    applies: Callable[[int, int, int], bool] = lambda u, s, delta: True
     condition: str = ""
 
     @property
@@ -73,10 +68,9 @@ class Question:
         return os.path.commonprefix([v.name for v in self.variants]).rstrip("-")
 
     def sweep(self, max_weight: int, delta: int) -> list[tuple[int, int]]:
-        """The distinct oracle radii of every request with radii up to max_weight."""
+        """Every radius pair up to max_weight that the question answers at delta."""
         grid = range(max_weight + 1)
-        radii = (self.radii(u, s, delta) for u in grid for s in grid)
-        return [pair for pair in dict.fromkeys(radii) if pair is not None]
+        return [(u, s) for u in grid for s in grid if self.applies(u, s, delta)]
 
 
 SPHERE = Variant("sphere", lambda p, t: volumes.sphere_volume(p, t), required=True)
@@ -92,26 +86,25 @@ QUESTIONS = {question.name: question for question in (
     Question((EXACT,)),
     Question((
         Variant("thm1-literal", lambda p, u, s, t: intersections.theorem1_literal(p, u, s, t),
-                keys=("u", "s", "t"), harness_keys=("u", "s", "t", "profile")),
-    ), radii=lambda u, s, delta: (u, s) if u + s >= delta else None,
-        condition="thm1 requires u + s >= t"),
+                keys=("u", "s", "t", "profile")),
+    ), applies=lambda u, s, delta: u + s >= delta, condition="thm1 requires u + s >= t"),
     # the published radius-1 sphere term overcounts for ell >= 2, so both
     # theorem 2 readings are findings
     Question((
         Variant("thm2-profile", lambda p, u, s, d: intersections.theorem2_per_profile(p, d),
                 keys=("delta", "profile")),
         Variant("thm2-literal", lambda p, u, s, t: intersections.theorem2_literal(p, t),
-                keys=("delta",), harness_keys=("delta", "profile")),
-    ), radii=lambda u, s, delta: (delta, 1) if delta >= 1 else None,
-        condition="thm2 requires center distance delta >= 1"),
+                keys=("delta", "profile")),
+    ), applies=lambda u, s, delta: u == delta >= 1 and s == 1,
+        condition="thm2 requires u = delta >= 1 and s = 1 at center distance delta"),
     Question((
         Variant("thm3-aggregate", lambda p, u, s, d: intersections.theorem3_aggregate(p, u, d),
-                required=True, keys=("gamma", "delta", "profile"),
-                harness_keys=("gamma", "profile")),
+                required=True, keys=("gamma", "profile")),
         Variant("thm3-literal", lambda p, u, s, t: intersections.theorem3_literal(p, u, t),
-                keys=("gamma", "delta"), harness_keys=("gamma", "delta", "profile")),
-    ), radii=lambda u, s, delta: (u, delta - u) if u <= delta else None,
-        condition="thm3 requires 0 <= u (= gamma) <= delta"),
+                keys=("gamma", "delta", "profile")),
+    ), applies=lambda u, s, delta: u <= delta and s == delta - u,
+        condition="thm3 requires u (= gamma) <= delta and s = delta - u at center distance"
+                  " delta"),
 )}
 
 VARIANTS = (SPHERE, BALL, *(v for question in QUESTIONS.values() for v in question.variants),

@@ -165,6 +165,7 @@ def test_intersect_thm3_emits_both_variants(capsys):
 
 @pytest.mark.parametrize("variant", ["exact", "thm2", "thm3"])
 def test_intersect_oracle_enumerates_each_profile_once(capsys, monkeypatch, variant):
+    u, s = (2, 0) if variant == "thm3" else (2, 1)  # radii the question answers at t = 2
     calls = []
     enumerate_space = oracle.distance_histogram
 
@@ -173,7 +174,7 @@ def test_intersect_oracle_enumerates_each_profile_once(capsys, monkeypatch, vari
         return enumerate_space(p, profile, budget)
 
     monkeypatch.setattr(oracle, "distance_histogram", counted)
-    code, report = run_json(capsys, "intersect", *PARAMS_222, "--u", "2", "--s", "1",
+    code, report = run_json(capsys, "intersect", *PARAMS_222, "--u", str(u), "--s", str(s),
                             "--t", "2", "--variant", variant, "--oracle")
     assert code == EXIT_OK
     # one pass per composition of t = 2, shared by every per-profile formula
@@ -224,8 +225,9 @@ def _hamming_intersection(ell: int, u: int, s: int, t: int) -> int:
 @pytest.mark.parametrize("variant", ["exact", "thm2", "thm3", "thm1-literal"])
 def test_intersect_t_at_more_blocks_than_the_recursion_limit(capsys, variant):
     ell = 1200
+    u, s = (1, 0) if variant == "thm3" else (1, 1)  # radii the question answers at t = 1
     code, report = run_json(capsys, "intersect", "--q", "2", "--m", "1", "--eta", "1",
-                            "--ell", str(ell), "--u", "1", "--s", "1", "--t", "1",
+                            "--ell", str(ell), "--u", str(u), "--s", str(s), "--t", "1",
                             "--variant", variant)
     assert code == EXIT_OK
     exact = [rec["value"] for rec in report["records"] if rec["formula_variant"] == "exact"]
@@ -505,6 +507,11 @@ def test_text_format(capsys):
     assert "sphere" in out and "9" in out
 
 
+THM2_RULE = "error: thm2 requires u = delta >= 1 and s = 1 at center distance delta"
+THM3_RULE = ("error: thm3 requires u (= gamma) <= delta and s = delta - u at center distance"
+             " delta")
+
+
 @pytest.mark.parametrize(
     "argv, line",
     [
@@ -553,6 +560,16 @@ def test_text_format(capsys):
         # the CSV has no oracle column, so the cross-check would be lost
         (["volume", *PARAMS_221, "--kind", "ball", "--t", "1", "--oracle", "--format", "csv"],
          "error: --format csv has no oracle column"),
+        # a question answers the radii it is asked or none: thm2 asks (delta, 1) and thm3
+        # (gamma, delta - gamma), refused before any oracle pass
+        (["intersect", *PARAMS_222, "--u", "1", "--s", "1", "--profile", "1,1",
+          "--variant", "thm2"], THM2_RULE),
+        (["intersect", *PARAMS_222, "--u", "2", "--s", "0", "--profile", "1,1",
+          "--variant", "thm2", "--oracle"], THM2_RULE),
+        (["intersect", *PARAMS_222, "--u", "1", "--s", "99", "--profile", "2,1",
+          "--variant", "thm3"], THM3_RULE),
+        (["intersect", *PARAMS_222, "--u", "1", "--s", "99", "--profile", "2,1",
+          "--variant", "thm3", "--oracle"], THM3_RULE),
     ],
     ids=["output-dir-missing", "csv-dir-missing", "negative-budget", "q-not-prime-power",
          "volume-oracle-q-composite", "intersect-oracle-q-composite",
@@ -561,12 +578,24 @@ def test_text_format(capsys):
          "profile-too-short", "profile-part-above-mu", "profile-not-integers",
          "profile-t-disagree", "profile-t-above-max-thm3", "profile-t-above-max-thm1",
          "profile-t-above-max-thm2", "profile-t-negative-thm1", "distribution-with-t",
-         "distribution-with-negative-t", "csv-with-oracle"],
+         "distribution-with-negative-t", "csv-with-oracle", "thm2-u-not-delta",
+         "thm2-s-not-1-oracle", "thm3-s-not-delta-minus-u", "thm3-s-not-delta-minus-u-oracle"],
 )
-def test_bad_input_is_one_error_line_exit_2(capsys, tmp_path, argv, line):
+def test_bad_input_is_one_error_line_exit_2(capsys, monkeypatch, tmp_path, argv, line):
+    passes = []
+    enumerate_space = oracle.distance_histogram
+
+    def counted(*args):
+        passes.append(args)
+        return enumerate_space(*args)
+
+    monkeypatch.setattr(oracle, "distance_histogram", counted)
     code = main([arg.format(missing=tmp_path / "missing") for arg in argv])
     captured = capsys.readouterr()
     assert code == EXIT_BAD_ARGS
+    # intersect and verify refuse before any oracle pass; volume --oracle's one pass
+    # refuses a q that is not prime by its own first check
+    assert passes == [] or argv[0] == "volume"
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     if line is not None:
@@ -637,6 +666,86 @@ def test_intersect_answers_or_refuses_with_one_error_line(options):
     if code == EXIT_BAD_ARGS:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+@st.composite
+def _intersect_profile_request(draw):
+    q, m, eta, ell = draw(st.sampled_from([(2, 2, 2, 1), (2, 2, 2, 2), (3, 2, 1, 3),
+                                           (2, 3, 2, 2)]))
+    mu = min(m, eta)
+    profile = tuple(draw(st.lists(st.integers(0, mu), min_size=ell, max_size=ell)))
+    variant = draw(st.sampled_from(["exact", "thm2", "thm3"]))
+    u, s = draw(st.integers(0, ell * mu + 1)), draw(st.integers(0, ell * mu + 1))
+    delta = sum(profile)
+    if draw(st.booleans()):  # half the draws move onto the radii the question answers
+        if variant == "thm2":
+            u, s = delta, 1
+        elif variant == "thm3":
+            u = min(u, delta)
+            s = delta - u
+    return Params(q=q, m=m, eta=eta, ell=ell), profile, variant, u, s
+
+
+def _printed_radii(rec):
+    """The radii (u, s) that a per-profile intersect record says it answers."""
+    query = rec["query"]
+    if rec["formula_variant"] == "exact":
+        return query["u"], query["s"]
+    delta = sum(query["profile"])
+    if rec["formula_variant"] == "thm2-profile":  # |B(x, delta) & B(y, 1)|
+        return delta, 1
+    return query["gamma"], delta - query["gamma"]  # |B(x, gamma) & B(y, delta - gamma)|
+
+
+@settings(max_examples=150, deadline=None)
+@given(_intersect_profile_request())
+def test_intersect_answers_the_radii_it_is_asked(call):
+    p, profile, variant, u, s = call
+    argv = ["intersect", "--q", str(p.q), "--m", str(p.m), "--eta", str(p.eta),
+            "--ell", str(p.ell), "--u", str(u), "--s", str(s),
+            "--profile", ",".join(map(str, profile)), "--variant", variant]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    delta = sum(profile)
+    if not {"exact": True, "thm2": u == delta >= 1 and s == 1,
+            "thm3": u <= delta and s == delta - u}[variant]:
+        assert code == EXIT_BAD_ARGS and out.getvalue() == ""
+        return
+    assert code == EXIT_OK
+    for rec in json.loads(out.getvalue())["records"]:
+        assert tuple(rec["query"]["profile"]) == profile
+        assert _printed_radii(rec) == (u, s)
+        if rec["formula_variant"] != "thm2-profile":  # theorem 2's readings are findings
+            exact = intersections.sumrank_intersection_exact(
+                IntersectionQuery(p=p, u=u, s=s, tprofile=profile))
+            assert rec["value"] == str(exact)
+
+
+def test_a_variant_writes_one_record_shape(capsys):
+    cell = ["--q", "2", "--m", "1", "--eta", "1", "--ell", "2"]
+    code, report = run_json(capsys, "verify", "--grid", "2,1,1,2")
+    assert code == EXIT_OK
+    verify_keys = {}
+    for rec in report["records"] + report["paper_variant_discrepancies"]:
+        keys = [key for key in rec["query"] if key not in ("q", "m", "eta", "ell")]
+        assert verify_keys.setdefault(rec["formula_variant"], keys) == keys
+    seen = set()
+    # each question at radii it answers for the profile (1, 1), with --t for the literal ones
+    for variant, u, s in [("exact", 1, 1), ("thm1-literal", 1, 1), ("thm2", 2, 1),
+                          ("thm3", 1, 1)]:
+        code, report = run_json(capsys, "intersect", *cell, "--u", str(u), "--s", str(s),
+                                "--profile", "1,1", "--t", "2", "--variant", variant)
+        assert code == EXIT_OK
+        for rec in report["records"]:
+            name = rec["formula_variant"]
+            seen.add(name)
+            # a literal reading answers the scalar --t, so it names no profile
+            expected = [key for key in verify_keys[name]
+                        if key != "profile" or not name.endswith("-literal")]
+            assert list(rec["query"]) == expected
+    assert seen == {"exact", "thm1-literal", "thm2-profile", "thm2-literal", "thm3-aggregate",
+                    "thm3-literal"}
 
 
 def test_readme_cli_examples_exit_0(capsys, tmp_path):

@@ -129,3 +129,23 @@ def test_enumeration_depth_does_not_grow_with_the_number_of_parts():
         ((2, 1) + (0,) * 4998, 5000 * 4999),
         ((1, 1, 1) + (0,) * 4997, math.comb(5000, 3)),
     ]
+
+
+def test_partition_counts_at_a_hundred_thousand_parts():
+    ell = 100_000
+    assert list(enumerate_partitions(2, ell, 1)) == [
+        ((1, 1) + (0,) * (ell - 2), math.comb(ell, 2)),
+    ]
+    assert list(enumerate_partitions(3, ell, 3)) == [
+        ((3,) + (0,) * (ell - 1), ell),
+        ((2, 1) + (0,) * (ell - 2), ell * (ell - 1)),
+        ((1, 1, 1) + (0,) * (ell - 3), math.comb(ell, 3)),
+    ]
+
+
+@given(st.integers(1, 8), st.integers(0, 4), st.data())
+def test_partition_counts_are_the_multinomials(ell, mu, data):
+    t = data.draw(st.integers(0, ell * mu))
+    for parts, count in enumerate_partitions(t, ell, mu):
+        mults = Counter(parts).values()
+        assert count == math.factorial(ell) // math.prod(map(math.factorial, mults))

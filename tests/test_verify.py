@@ -165,7 +165,7 @@ def _per_profile_records(p, budget):
                 count = sum(sum(row[: s + 1]) for row in hists[profile][: u + 1])
                 for variant in question.variants:
                     value = variant.formula(p, u, s, delta if variant.literal else profile)
-                    add(variant, variant.query(u, s, delta, profile, harness=True), value, count)
+                    add(variant, variant.query(u, s, delta, profile), value, count)
     return records, findings
 
 
