@@ -24,7 +24,8 @@ from math import prod
 
 from sumrank.compositions import RankProfile, enumerate_partitions
 from sumrank.qkit import InternalInconsistencyError  # also raised here; kept importable
-from sumrank.qkit import InputError, exact_div, gaussian_binomial, num_matrices_rank, running_sums
+from sumrank.qkit import (InputError, _check_q, exact_div, gaussian_binomial, num_matrices_rank,
+                          running_sums)
 from sumrank.volumes import Params
 
 
@@ -57,7 +58,7 @@ def _j_rows(t: int, n: int, m: int, q: int) -> Table:
     Every row a must be nonnegative and sum to the sphere NM(n, m, a).
     """
     mu = min(m, n)
-    spheres = [num_matrices_rank(n, m, a, q) for a in range(mu + 1)]  # refuses q < 2
+    spheres = [num_matrices_rank(n, m, a, q) for a in range(mu + 1)]  # refuses a non-field q
     # b_[-1] is b_mu = 0, so the b_{-1} terms at a = 0 or b = 0 vanish
     b_ = [rank1_additive_pairs(n, m, i, q) for i in range(mu + 1)]
     c_ = [0] + [q ** (i - 1) * gaussian_binomial(i, 1, q) for i in range(1, mu + 2)]
@@ -155,29 +156,27 @@ def sumrank_intersection_exact(query: IntersectionQuery) -> int:
 
 
 def _block_product(tables: list[Table], u: int, s: int) -> list[list[int]]:
-    """The product of 1+ tables (entry [a][b] at x^a y^b) as dp[pa][pb], pa <= u, pb <= s."""
+    """The product of 1+ tables (entry [a][b] at x^a y^b) as dp[pa][pb], pa <= u, pb <= s.
+
+    A capped convolution: each nonzero dp[pa][pb] times each nonzero
+    table[a][b] with pa + a <= u and pb + b <= s adds to new[pa + a][pb + b].
+    """
     dp = [row[: s + 1] for row in tables[0][: u + 1]]
     for table in tables[1:]:
-        mu = len(table) - 1
         # the nonzero entries (b, table[a][b]) of each row a of the table
-        bands = [[(b, j) for b, j in enumerate(jrow) if j] for jrow in table]
-        width = min(len(dp[0]) + mu, s + 1)
-        new = [[0] * width for _ in range(min(len(dp) + mu, u + 1))]
+        bands = [[(b, j) for b, j in enumerate(row) if j] for row in table]
+        new = [[0] * min(len(dp[0]) + len(table[0]) - 1, s + 1)
+               for _ in range(min(len(dp) + len(table) - 1, u + 1))]
         for pa, row in enumerate(dp):
-            nonzero = [pb for pb, c in enumerate(row) if c]
-            if not nonzero:
-                continue
-            lo = nonzero[0]
-            seg = row[lo : nonzero[-1] + 1]
-            for a, band in enumerate(bands[: u + 1 - pa]):
-                out = new[pa + a]
-                for b, j in band:
-                    start = lo + b
-                    if start >= width:
-                        break
-                    # a slice past width is clipped, and zip stops with it
-                    stop = start + len(seg)
-                    out[start:stop] = [o + c * j for o, c in zip(out[start:stop], seg)]
+            # output row pa + a beside table row a, for every a within the u cap
+            steps = list(zip(new[pa:], bands))
+            for pb, c in enumerate(row):
+                if c:
+                    for out, band in steps:
+                        for b, j in band:
+                            if pb + b > s:
+                                break
+                            out[pb + b] += c * j
         dp = new
     return dp
 
@@ -211,6 +210,7 @@ def rank1_additive_pairs(n: int, m: int, r: int, q: int) -> int:
     (q^n - q^r)(q^m - q^r) / (q - 1); at r = 0 this is the size of the rank-1
     sphere, at r = min(m, n) = m = n it is 0.
     """
+    _check_q(q)
     if r < 0 or r > min(m, n):
         raise InputError("rank r must lie in 0..min(m, n)")
     return exact_div((q**n - q**r) * (q**m - q**r), q - 1, "rank1_additive_pairs")

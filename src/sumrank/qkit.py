@@ -38,11 +38,6 @@ def running_sums(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*(accumulate(col) for col in zip(*map(accumulate, table)))))
 
 
-def _check_q(q: int) -> None:
-    if q < 2:
-        raise InputError(f"q must be an integer >= 2, got {q}")
-
-
 # Trial division stops here, so a q above its square may have no certified answer.
 TRIAL_DIVISION_BOUND = 10**6
 
@@ -70,6 +65,15 @@ def is_prime_power(q: int) -> bool:
     while q % p == 0:
         q //= p
     return q == 1
+
+
+def _check_q(q: int) -> None:
+    """Raise InputError unless q is the size of a field: a prime power."""
+    if q < 2:
+        raise InputError(f"q must be an integer >= 2, got {q}")
+    # a q that is no int is left to the integrality checks (exact_div)
+    if isinstance(q, int) and not is_prime_power(q):
+        raise InputError(f"q must be a prime power, got {q}")
 
 
 @lru_cache(maxsize=None)

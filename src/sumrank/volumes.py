@@ -38,8 +38,10 @@ class Params:
 
     def __post_init__(self) -> None:
         for name in ("q", "m", "eta", "ell"):
-            if not isinstance(getattr(self, name), int) or getattr(self, name) < 1:
-                raise InputError(f"{name} must be a positive int, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            # a bool is an int to isinstance, but no field size or length
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise InputError(f"{name} must be a positive int, got {value!r}")
         if not is_prime_power(self.q):
             raise InputError(f"q must be a prime power, got {self.q}")
 
@@ -47,7 +49,7 @@ class Params:
         """Raise InputError unless profile has ell parts, each an int in 0..mu."""
         if len(profile) != self.ell:
             raise InputError(f"profile length {len(profile)} != ell = {self.ell}")
-        if not all(isinstance(x, int) for x in profile):
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in profile):
             raise InputError(f"profile parts must be integers, got {profile!r}")
         if any(x < 0 or x > self.mu for x in profile):
             raise InputError(f"profile parts must lie in 0..mu = {self.mu}")

@@ -230,9 +230,17 @@ def test_intersect_t_at_more_blocks_than_the_recursion_limit(capsys, variant):
                             "--ell", str(ell), "--u", str(u), "--s", str(s), "--t", "1",
                             "--variant", variant)
     assert code == EXIT_OK
-    exact = [rec["value"] for rec in report["records"] if rec["formula_variant"] == "exact"]
-    assert exact == ([str(_hamming_intersection(ell, 1, 1, 1))] * ell
-                     if variant == "exact" else [])
+    values = {}
+    for rec in report["records"]:
+        values.setdefault(rec["formula_variant"], []).append(int(rec["value"]))
+    # by hand at t = 1: one record per profile, and one for a literal reading of t
+    assert values == {
+        "exact": {"exact": [_hamming_intersection(ell, 1, 1, 1)] * ell},
+        "thm2": {"thm2-profile": [2**ell - ell + 1] * ell,
+                 "thm2-literal": [2**ell - ell * (ell - 1)]},
+        "thm3": {"thm3-aggregate": [1] * ell, "thm3-literal": [ell**2]},
+        "thm1-literal": {"thm1-literal": [ell * (2 + 2 * (ell - 1))]},
+    }[variant]
 
 
 def test_invalid_params_exit_2(capsys):

@@ -111,11 +111,22 @@ class TestRankBallIntersectionI:
         assert "exceeds min(m, n)" in self._refuses_as_j_does((*args, 2, 2, 2))
 
 
-@pytest.mark.parametrize("q", [1, 0, -2])
-@pytest.mark.parametrize("count", [rank_sphere_intersection_J, rank_ball_intersection_I])
+@pytest.mark.parametrize("q", [1, 0, -2, 6, 10])
+@pytest.mark.parametrize("count", [rank_sphere_intersection_J, rank_ball_intersection_I,
+                                   rank1_additive_pairs])
 def test_j_and_i_refuse_a_field_size_below_two(count, q):
-    with pytest.raises(InputError, match=re.escape(f"q must be an integer >= 2, got {q}")):
-        count(1, 1, 1, 2, 2, q)
+    # no field has q elements; rank1_additive_pairs(2, 2, 1, 6) would give 245
+    message = f"q must be an integer >= 2, got {q}" if q < 2 else f"q must be a prime power, got {q}"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        count(1, 1, 1, 2, 2, q) if count is not rank1_additive_pairs else count(2, 2, 1, q)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_j_i_and_lemma8_answer_at_a_prime_power_that_is_not_prime(q):
+    assert sum(rank_sphere_intersection_J(a, b, 1, 2, 2, q)
+               for a in range(3) for b in range(3)) == q**4
+    assert rank_ball_intersection_I(2, 2, 1, 2, 2, q) == q**4
+    assert rank1_additive_pairs(2, 2, 0, q) == num_matrices_rank(2, 2, 1, q)
 
 
 @pytest.mark.parametrize("ask", [
@@ -125,8 +136,11 @@ def test_j_and_i_refuse_a_field_size_below_two(count, q):
     lambda d: oracle.distance_histogram(P222, d),
 ], ids=["exact", "thm2-profile", "thm3-aggregate", "oracle"])
 def test_a_profile_part_that_is_not_an_int_is_refused(ask):
-    with pytest.raises(InputError, match=r"^profile parts must be integers, got \(1\.0, 1\)$"):
-        ask((1.0, 1))
+    # a bool is an int to isinstance, but no rank distance
+    for bad in [(1.0, 1), (True, False)]:
+        with pytest.raises(InputError,
+                           match=f"^profile parts must be integers, got {re.escape(repr(bad))}$"):
+            ask(bad)
 
 
 class TestSumrankIntersectionExact:
@@ -521,6 +535,37 @@ def test_exact_is_the_sum_over_every_block_choice(query):
         if sum(a for a, _, _ in blocks) <= query.u and sum(b for _, b, _ in blocks) <= query.s
     )
     assert sumrank_intersection_exact(query) == expected
+
+
+@st.composite
+def _tables(draw):
+    """A table of 1-5 rows by 1-5 columns, with scattered zeros and some all-zero rows."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    zero_rows = draw(st.sets(st.integers(0, rows - 1)))
+    entries = st.lists(st.one_of(st.just(0), st.integers(1, 10**6)), min_size=cols, max_size=cols)
+    return tuple((0,) * cols if a in zero_rows else tuple(draw(entries)) for a in range(rows))
+
+
+@given(st.lists(_tables(), min_size=1, max_size=4), st.data())
+def test_block_product_is_the_capped_convolution(tables, data):
+    # the whole product as a dict, every entry of every table, capped only afterwards
+    product = {(0, 0): 1}
+    for table in tables:
+        step = {}
+        for (pa, pb), c in product.items():
+            for a, row in enumerate(table):
+                for b, j in enumerate(row):
+                    step[pa + a, pb + b] = step.get((pa + a, pb + b), 0) + c * j
+        product = step
+    top_a = sum(len(table) - 1 for table in tables)
+    top_b = sum(len(table[0]) - 1 for table in tables)
+    u, s = data.draw(st.integers(0, top_a + 2)), data.draw(st.integers(0, top_b + 2))
+    dp = intersections._block_product(tables, u, s)
+    assert [list(row) for row in dp] == [[product[a, b] for b in range(min(s, top_b) + 1)]
+                                         for a in range(min(u, top_a) + 1)]
+    assert intersections._coefficient(tables, u, s) == product.get((u, s), 0)
+    assert intersections._coefficient(tables, top_a + 1, s) == 0
+    assert intersections._coefficient(tables, u, top_b + 1) == 0
 
 
 # The printed sums, term by term: the references for the *_literal readings.

@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sumrank import volumes
-from sumrank.qkit import num_matrices_rank
+from sumrank.qkit import InputError, num_matrices_rank
 from sumrank.volumes import (
     Params,
     _weights_up_to,
@@ -37,6 +37,10 @@ def test_params_validation():
         Params(q=6, m=2, eta=2, ell=1)  # not a prime power: no field has 6 elements
     with pytest.raises(ValueError):
         Params(q=2.5, m=2, eta=2, ell=1)
+    # a bool is an int to isinstance, but no field size or length
+    for field in ("q", "m", "eta", "ell"):
+        with pytest.raises(InputError, match=f"^{field} must be a positive int, got True$"):
+            Params(**{"q": 2, "m": 2, "eta": 2, "ell": 1, field: True})
 
 
 def test_check_profile():
