@@ -11,14 +11,13 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import asdict
-from decimal import Decimal
 from functools import lru_cache
 from typing import Any, Optional
 
 from sumrank import __version__, oracle, volumes
 from sumrank.compositions import RankProfile, count_uniform, enumerate_uniform
 from sumrank.qkit import InputError, running_sums
-from sumrank.report import (BALL, EXACT, LEMMA8, QUESTIONS, SPHERE, Variant, make_record,
+from sumrank.report import (BALL, LEMMA8, QUESTIONS, SPHERE, VOLUMES, Variant, make_record,
                             make_report, report_to_csv, report_to_json, report_to_text)
 from sumrank.volumes import Params
 
@@ -26,8 +25,6 @@ EXIT_OK = 0
 EXIT_BAD_ARGS = 2  # invalid arguments
 EXIT_BUDGET = 3  # oracle budget refusal
 EXIT_CHECK_FAILED = 4  # a required check disagrees with the oracle
-
-VOLUMES = {variant.name: variant for variant in (SPHERE, BALL)}
 
 DEFAULT_GRID = ((2, 2, 2, 1), (2, 2, 2, 2), (2, 2, 1, 3))
 
@@ -74,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     inter.add_argument("--s", type=int, required=True, help="second radius")
     inter.add_argument("--profile", help="comma-separated per-block center distances")
     inter.add_argument("--t", type=int, help="scalar center distance (with --variant)")
-    inter.add_argument("--variant", choices=tuple(QUESTIONS), default=EXACT.name)
+    inter.add_argument("--variant", choices=tuple(QUESTIONS), default="exact")
     inter.add_argument("--oracle", action="store_true",
                        help="cross-check against brute-force enumeration")
     _add_common_args(inter)
@@ -220,8 +217,7 @@ def run_verification(
             # one enumeration per distance profile, (mu + 1)^ell of them
             oracle.check_passes(p, (p.mu + 1) ** p.ell, budget)
         except oracle.OracleBudgetError as exc:
-            # Decimal prints counts past the interpreter's int-to-str digit limit
-            skipped.append({"cell": cell, "required_budget": str(Decimal(exc.required))})
+            skipped.append({"cell": cell, "required_budget": exc.required_text})
             continue
 
         def add(variant: Variant, query: dict[str, Any], value: int, oracle_value: int) -> None:
@@ -253,7 +249,7 @@ def run_verification(
             oracle_value = oracle.count_rank1_additive(2, 2, r, 2, budget=budget)
         except oracle.OracleBudgetError as exc:
             skipped.append({"cell": {"check": LEMMA8.name, "r": r},
-                            "required_budget": str(Decimal(exc.required))})
+                            "required_budget": exc.required_text})
             continue
         records.append(make_record({"n": 2, "m": 2, "q": 2, "r": r}, LEMMA8,
                                    LEMMA8.formula(2, 2, r, 2), oracle_value))

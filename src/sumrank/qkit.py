@@ -42,8 +42,11 @@ def running_sums(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
 TRIAL_DIVISION_BOUND = 10**6
 
 
+@lru_cache(maxsize=64)
 def smallest_prime_factor(q: int) -> int:
     """The least prime dividing q >= 2, by trial division up to sqrt(q) or the bound.
+
+    Cached, so the field-size checks of every count at one q divide once.
 
     Raises InputError for a q above TRIAL_DIVISION_BOUND**2 with no factor up
     to TRIAL_DIVISION_BOUND: such a q may be a prime or a product of large

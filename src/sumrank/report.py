@@ -5,16 +5,16 @@ All counts are serialized as decimal strings because they routinely exceed
 re-serializes byte-identically.
 
 A record's `formula_variant` names a formula from the variant table below.
-The intersection variants are grouped into the questions that `intersect
---variant` answers; a question states the radii it answers, where its
-formulas meet the brute-force oracle. Only a required variant fails a check
+The tables are keyed by the CLI's written names: `VOLUMES` by `volume --kind`,
+`QUESTIONS` by `intersect --variant`. A question groups intersection variants
+and states the radii it answers, where its formulas meet the brute-force
+oracle. Only a required variant fails a check
 by disagreeing with the oracle; the literal paper readings are findings.
 """
 
 from __future__ import annotations
 
 import datetime
-import os
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from typing import Any, Callable, Optional
@@ -62,11 +62,6 @@ class Question:
     applies: Callable[[int, int, int], bool] = lambda u, s, delta: True
     condition: str = ""
 
-    @property
-    def name(self) -> str:
-        """The choice's name: the stem its variants' names share."""
-        return os.path.commonprefix([v.name for v in self.variants]).rstrip("-")
-
     def sweep(self, max_weight: int, delta: int) -> list[tuple[int, int]]:
         """Every radius pair up to max_weight that the question answers at delta."""
         grid = range(max_weight + 1)
@@ -82,22 +77,24 @@ EXACT = Variant("exact", lambda p, u, s, d: intersections.sumrank_intersection_e
                     intersections.IntersectionQuery(p=p, u=u, s=s, tprofile=d)),
                 required=True, keys=("u", "s", "profile"))
 
-QUESTIONS = {question.name: question for question in (
-    Question((EXACT,)),
-    Question((
+VOLUMES = {"sphere": SPHERE, "ball": BALL}
+
+QUESTIONS = {
+    "exact": Question((EXACT,)),
+    "thm1-literal": Question((
         Variant("thm1-literal", lambda p, u, s, t: intersections.theorem1_literal(p, u, s, t),
                 keys=("u", "s", "t", "profile")),
     ), applies=lambda u, s, delta: u + s >= delta, condition="thm1 requires u + s >= t"),
     # the published radius-1 sphere term overcounts for ell >= 2, so both
     # theorem 2 readings are findings
-    Question((
+    "thm2": Question((
         Variant("thm2-profile", lambda p, u, s, d: intersections.theorem2_per_profile(p, d),
                 keys=("delta", "profile")),
         Variant("thm2-literal", lambda p, u, s, t: intersections.theorem2_literal(p, t),
                 keys=("delta", "profile")),
     ), applies=lambda u, s, delta: u == delta >= 1 and s == 1,
         condition="thm2 requires u = delta >= 1 and s = 1 at center distance delta"),
-    Question((
+    "thm3": Question((
         Variant("thm3-aggregate", lambda p, u, s, d: intersections.theorem3_aggregate(p, u, d),
                 required=True, keys=("gamma", "profile")),
         Variant("thm3-literal", lambda p, u, s, t: intersections.theorem3_literal(p, u, t),
@@ -105,10 +102,10 @@ QUESTIONS = {question.name: question for question in (
     ), applies=lambda u, s, delta: u <= delta and s == delta - u,
         condition="thm3 requires u (= gamma) <= delta and s = delta - u at center distance"
                   " delta"),
-)}
+}
 
-VARIANTS = (SPHERE, BALL, *(v for question in QUESTIONS.values() for v in question.variants),
-            LEMMA8)
+VARIANTS = (*VOLUMES.values(),
+            *(v for question in QUESTIONS.values() for v in question.variants), LEMMA8)
 
 REPORT_SCHEMA: dict[str, Any] = {
     "type": "object",

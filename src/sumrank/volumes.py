@@ -21,8 +21,8 @@ from sumrank.compositions import enumerate_uniform
 from sumrank.qkit import (
     InputError,
     InternalInconsistencyError,
+    _check_q,
     exact_div,
-    is_prime_power,
     num_matrices_rank,
 )
 
@@ -42,8 +42,7 @@ class Params:
             # a bool is an int to isinstance, but no field size or length
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise InputError(f"{name} must be a positive int, got {value!r}")
-        if not is_prime_power(self.q):
-            raise InputError(f"q must be a prime power, got {self.q}")
+        _check_q(self.q)
 
     def check_profile(self, profile: tuple[int, ...]) -> None:
         """Raise InputError unless profile has ell parts, each an int in 0..mu."""

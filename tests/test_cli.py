@@ -28,7 +28,7 @@ from sumrank import intersections, oracle
 from sumrank.compositions import count_uniform, enumerate_uniform
 from sumrank.intersections import IntersectionQuery
 from sumrank.qkit import num_matrices_rank
-from sumrank.report import REPORT_SCHEMA, report_to_json
+from sumrank.report import QUESTIONS, REPORT_SCHEMA, VOLUMES, report_to_json
 from sumrank.volumes import Params
 
 PARAMS_221 = ["--q", "2", "--m", "2", "--eta", "2", "--ell", "1"]
@@ -445,6 +445,22 @@ def test_verify_skips_a_space_past_the_digit_limit(capsys):
         {"cell": {"q": 7, "m": 16, "eta": 18, "ell": 26}, "required_budget": str(BIG_SPACE)}
     ]
     jsonschema.validate(report, REPORT_SCHEMA)
+
+
+def test_the_tables_are_keyed_by_the_written_cli_names():
+    assert tuple(QUESTIONS) == ("exact", "thm1-literal", "thm2", "thm3")
+    assert tuple(VOLUMES) == ("sphere", "ball")
+
+
+def test_a_refusal_past_a_million_digits_prints_its_exact_count(capsys):
+    # 2^(10^7) has 3,010,300 digits; Decimal alone takes minutes to print it
+    code, captured, elapsed = _timed_main(
+        capsys, "volume", "--q", "2", "--m", "1", "--eta", "1", "--ell", "10000000",
+        "--kind", "sphere", "--t", "1", "--oracle")
+    assert elapsed < 10.0
+    assert code == EXIT_BUDGET
+    count = captured.err.split()[3]
+    assert len(count) == 3010300 and count[-12:] == str(pow(2, 10**7, 10**12))
 
 
 def test_the_parser_is_built_once():

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -99,6 +100,20 @@ def test_check_passes_reports_a_space_over_budget_by_its_size():
         check_passes(P222, 3, budget=255)
     assert exc.value.required == 256 and exc.value.budget == 255
     assert str(exc.value) == "enumeration needs 256 candidates, budget is 255"
+
+
+# bit lengths at and next to the split cutoff and its doublings
+_SPLIT_EDGES = [k * oracle._SPLIT_BITS + e for k in (1, 2, 4, 8) for e in (-1, 0, 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.integers(1, 2**20050),
+    st.sampled_from(_SPLIT_EDGES).flatmap(lambda w: st.integers(2 ** (w - 1), 2**w)),
+))
+def test_a_refused_count_renders_as_decimal_does(n):
+    assert oracle._decimal_text(n) == str(Decimal(n))
+    assert OracleBudgetError(n, 0).required_text == str(Decimal(n))
 
 
 def test_check_passes_reports_several_passes_by_their_total():

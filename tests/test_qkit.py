@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 import sumrank
 from sumrank import intersections, qkit
+from sumrank.compositions import enumerate_uniform
+from sumrank.intersections import IntersectionQuery, sumrank_intersection_exact
 from sumrank.oracle import check_prime_field
 from sumrank.qkit import (
     InternalInconsistencyError,
@@ -22,6 +24,7 @@ from sumrank.qkit import (
     running_sums,
     smallest_prime_factor,
 )
+from sumrank.volumes import Params
 
 
 def test_gaussian_binomial_values():
@@ -139,6 +142,17 @@ def test_large_prime_powers_are_certified_by_a_small_factor():
     assert not is_prime_power(2**64 * 3)
     # up to bound^2 trial division up to the bound still proves primality
     assert is_prime_power(999999999989)
+
+
+def test_a_large_q_query_divides_once_per_q():
+    # every count checks q, by trial division up to 10^6 at this q unless cached
+    q = 999999999989
+    smallest_prime_factor.cache_clear()
+    p = Params(q=q, m=10, eta=10, ell=2)
+    for profile in enumerate_uniform(10, 2, 10):
+        sumrank_intersection_exact(IntersectionQuery(p=p, u=10, s=10, tprofile=profile))
+    info = smallest_prime_factor.cache_info()
+    assert info.misses == 1 and info.hits > 0
 
 
 @pytest.mark.parametrize("q", [2**61 - 1, 1000003 * 1000033])

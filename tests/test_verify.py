@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumrank import cli, intersections, oracle
-from sumrank.cli import EXIT_OK, main, run_verification
+from sumrank.cli import EXIT_BUDGET, EXIT_OK, main, run_verification
 from sumrank.compositions import enumerate_uniform
 from sumrank.report import BALL, QUESTIONS, REPORT_SCHEMA, SPHERE, make_record
 from sumrank.volumes import Params
@@ -83,6 +83,16 @@ def _logged(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def test_a_refused_cell_renders_its_count_once(monkeypatch):
+    rendered = _logged(monkeypatch, oracle, "_decimal_text")
+    # 2^16 profiles of 2^16 vectors each
+    report, code = run_verification([(2, 1, 1, 16)], budget=2**24)
+    assert code == EXIT_BUDGET
+    assert rendered == [(2**32,)]
+    assert report["skipped"] == [
+        {"cell": {"q": 2, "m": 1, "eta": 1, "ell": 16}, "required_budget": str(2**32)}]
 
 
 def test_literal_readings_asked_once_per_scalar_distance(monkeypatch):

@@ -29,7 +29,8 @@ def test_params_derived_quantities():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
+    # Params checks q by qkit's one field-size rule
+    with pytest.raises(InputError, match="^q must be an integer >= 2, got 1$"):
         Params(q=1, m=2, eta=2, ell=1)
     with pytest.raises(ValueError):
         Params(q=2, m=0, eta=2, ell=1)
