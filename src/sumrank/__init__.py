@@ -7,6 +7,7 @@ prime fields as ground truth for every closed-form formula.
 
 from sumrank.qkit import (
     InputError,
+    InternalInconsistencyError,
     gaussian_binomial,
     num_matrices_rank,
     q_krawtchouk,
@@ -26,7 +27,6 @@ from sumrank.volumes import (
     weight_distribution,
 )
 from sumrank.intersections import (
-    InternalInconsistencyError,
     IntersectionQuery,
     rank1_additive_pairs,
     rank_ball_intersection_I,

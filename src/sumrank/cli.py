@@ -2,8 +2,9 @@
 
 The harness compares every formula variant with the brute-force oracle, which
 enumerates a cell once per profile. The commands share counts by one rule: a
-literal reading is asked once per (u, s, delta), a per-profile formula once per
-(u, s, partition), since permuting blocks is an isometry.
+variant is called with the distance it declares, the scalar delta or the sorted
+profile, through one cache per sharing scope, so it is asked once per
+(u, s, delta) or (u, s, partition), since permuting blocks is an isometry.
 """
 
 from __future__ import annotations
@@ -11,14 +12,14 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import asdict
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Any, Optional
 
 from sumrank import __version__, oracle, volumes
-from sumrank.compositions import RankProfile, count_uniform, enumerate_uniform
+from sumrank.compositions import count_uniform, enumerate_uniform
 from sumrank.qkit import InputError, running_sums
-from sumrank.report import (BALL, LEMMA8, QUESTIONS, SPHERE, VOLUMES, Variant, make_record,
-                            make_report, report_to_csv, report_to_json, report_to_text)
+from sumrank.report import (LEMMA8, QUESTIONS, SPHERE, VOLUMES, Variant, make_record, make_report,
+                            report_to_csv, report_to_json, report_to_text)
 from sumrank.volumes import Params
 
 EXIT_OK = 0
@@ -127,15 +128,6 @@ def _oracle_volume(variant: Variant, weights: list[int], t: int) -> int:
     return sum(weights[t if variant is SPHERE else 0 : t + 1])
 
 
-def _ask(memo: dict[tuple[Any, ...], int], variant: Variant, p: Params, u: int, s: int,
-         delta: int, profile: RankProfile) -> int:
-    """variant at radii (u, s), from memo: once per delta if literal, else once per partition."""
-    key = (variant, u, s, delta if variant.literal else tuple(sorted(profile)))
-    if key not in memo:
-        memo[key] = variant.formula(p, u, s, delta if variant.literal else profile)
-    return memo[key]
-
-
 def cmd_intersect(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     p = Params(q=args.q, m=args.m, eta=args.eta, ell=args.ell)
     if args.u < 0 or args.s < 0:
@@ -143,7 +135,7 @@ def cmd_intersect(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     if args.profile is None and args.t is None:
         raise InputError("either --profile or --t is required")
     question = QUESTIONS[args.variant]
-    per_profile = [variant for variant in question.variants if not variant.literal]
+    per_profile = [variant for variant in question.variants if not variant.scalar]
     profile = None if args.profile is None else _parse_profile(args.profile, p)
     if args.t is not None:
         if args.t < 0 or args.t > p.max_weight:
@@ -165,15 +157,16 @@ def cmd_intersect(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     # the one --profile, else every composition of --t, walked lazily
     profiles = (profile,) if profile is not None else enumerate_uniform(delta, p.ell, p.mu)
     records: list[dict[str, Any]] = []
-    memo: dict[tuple[Any, ...], int] = {}  # the compositions of a partition share its counts
+    # the compositions of a partition share its counts
+    ask = cache(lambda variant, d: variant.formula(p, u, s, d))
     for profile in profiles if per_profile else ():
         count = oracle.count_intersection(p, u, s, profile, args.budget) if args.oracle else None
-        records += [make_record(v.query(u, s, delta, profile), v,
-                                _ask(memo, v, p, u, s, delta, profile), count)
+        partition = tuple(sorted(profile))
+        records += [make_record(v.query(u, s, delta, profile), v, ask(v, partition), count)
                     for v in per_profile]
-    if args.t is not None:  # a literal reading answers the scalar distance --t, once
-        records += [make_record(v.query(u, s, delta, None), v, v.formula(p, u, s, delta))
-                    for v in question.variants if v.literal]
+    if args.t is not None:  # a scalar variant answers the distance --t, once
+        records += [make_record(v.query(u, s, delta, None), v, ask(v, delta))
+                    for v in question.variants if v.scalar]
     return make_report(asdict(p), records), EXIT_OK
 
 
@@ -203,8 +196,9 @@ def run_verification(
     theorem 3 aggregates and the rank-1 additivity count. The other variants
     (literal readings, theorem 2 per profile) are findings in the paper-variant
     discrepancy section, never failures. A cell walks its scalar distances; the
-    profiles of one share counts as `_ask` keys them, and each profile's
-    histogram is summed once (running_sums), so every radius pair is a lookup.
+    profiles of one share a formula cache, called with delta or the partition,
+    and each profile's histogram is summed once (running_sums), so every radius
+    pair is a lookup.
     """
     records: list[dict[str, Any]] = []
     discrepancies: list[dict[str, Any]] = []
@@ -227,21 +221,24 @@ def run_verification(
         for delta in range(p.max_weight + 1):
             pairs = [(question, u, s) for question in QUESTIONS.values()
                      for u, s in question.sweep(p.max_weight, delta)]
-            memo: dict[tuple[Any, ...], int] = {}  # shared by the profiles of delta
+            # shared by the profiles of delta
+            ask = cache(lambda variant, u, s, d: variant.formula(p, u, s, d))
             for profile in enumerate_uniform(delta, p.ell, p.mu):
                 hist = oracle.distance_histogram(p, profile, budget)
                 balls = running_sums(hist)
                 if delta == 0:  # sphere and ball volumes: the zero profile's rows hold the weights
                     weights = [sum(row) for row in hist]
                     for t in range(len(weights)):
-                        for variant in (SPHERE, BALL):
+                        for variant in VOLUMES.values():
                             add(variant, {"t": t}, variant.formula(p, t),
                                 _oracle_volume(variant, weights, t))
+                partition = tuple(sorted(profile))
                 # every intersection question at every radius pair it applies to
                 for question, u, s in pairs:
                     for variant in question.variants:
                         add(variant, variant.query(u, s, delta, profile),
-                            _ask(memo, variant, p, u, s, delta, profile), balls[u][s])
+                            ask(variant, u, s, delta if variant.scalar else partition),
+                            balls[u][s])
 
     # rank-1 additivity count (rank metric, desk scale)
     for r in range(3 if grid else 0):
@@ -299,7 +296,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     rendered = render[args.format](report)
     if not rendered.endswith("\n"):
         rendered += "\n"
-    if args.output:
+    if args.output is not None:
         try:
             with open(args.output, "w") as fh:
                 fh.write(rendered)

@@ -23,9 +23,8 @@ from functools import lru_cache
 from math import prod
 
 from sumrank.compositions import RankProfile, enumerate_partitions
-from sumrank.qkit import InternalInconsistencyError  # also raised here; kept importable
-from sumrank.qkit import (InputError, _check_q, exact_div, gaussian_binomial, num_matrices_rank,
-                          running_sums)
+from sumrank.qkit import (InputError, InternalInconsistencyError, _check_q, exact_div,
+                          gaussian_binomial, num_matrices_rank, running_sums)
 from sumrank.volumes import Params
 
 

@@ -28,20 +28,17 @@ class Variant:
     """A named formula; only a required one fails a check by disagreeing.
 
     An intersection variant's formula takes (p, u, s, d) with radii u and s,
-    where d is the per-block center distance profile or, for a literal
-    reading, its scalar sum. `keys` are the query fields of its records in
-    every command; "profile" is left out where no profile was asked.
+    where d is the scalar center distance if `scalar` is set, else a sorted
+    per-block distance profile: permuting blocks is an isometry, so the
+    commands ask it once per partition. `keys` are the query fields of its
+    records in every command; "profile" is left out where no profile was asked.
     """
 
     name: str
     formula: Callable[..., int]
     required: bool = False
     keys: tuple[str, ...] = ()
-
-    @property
-    def literal(self) -> bool:
-        """Whether the formula takes the scalar center distance, not the profile."""
-        return self.name.endswith("-literal")
+    scalar: bool = False
 
     def query(self, u: int, s: int, delta: int, profile: Optional[RankProfile]) -> dict[str, Any]:
         """The record's query fields, with gamma = u and t = delta."""
@@ -83,7 +80,7 @@ QUESTIONS = {
     "exact": Question((EXACT,)),
     "thm1-literal": Question((
         Variant("thm1-literal", lambda p, u, s, t: intersections.theorem1_literal(p, u, s, t),
-                keys=("u", "s", "t", "profile")),
+                keys=("u", "s", "t", "profile"), scalar=True),
     ), applies=lambda u, s, delta: u + s >= delta, condition="thm1 requires u + s >= t"),
     # the published radius-1 sphere term overcounts for ell >= 2, so both
     # theorem 2 readings are findings
@@ -91,14 +88,14 @@ QUESTIONS = {
         Variant("thm2-profile", lambda p, u, s, d: intersections.theorem2_per_profile(p, d),
                 keys=("delta", "profile")),
         Variant("thm2-literal", lambda p, u, s, t: intersections.theorem2_literal(p, t),
-                keys=("delta", "profile")),
+                keys=("delta", "profile"), scalar=True),
     ), applies=lambda u, s, delta: u == delta >= 1 and s == 1,
         condition="thm2 requires u = delta >= 1 and s = 1 at center distance delta"),
     "thm3": Question((
         Variant("thm3-aggregate", lambda p, u, s, d: intersections.theorem3_aggregate(p, u, d),
                 required=True, keys=("gamma", "profile")),
         Variant("thm3-literal", lambda p, u, s, t: intersections.theorem3_literal(p, u, t),
-                keys=("gamma", "delta", "profile")),
+                keys=("gamma", "delta", "profile"), scalar=True),
     ), applies=lambda u, s, delta: u <= delta and s == delta - u,
         condition="thm3 requires u (= gamma) <= delta and s = delta - u at center distance"
                   " delta"),

@@ -28,11 +28,13 @@ from sumrank import intersections, oracle
 from sumrank.compositions import count_uniform, enumerate_uniform
 from sumrank.intersections import IntersectionQuery
 from sumrank.qkit import num_matrices_rank
-from sumrank.report import QUESTIONS, REPORT_SCHEMA, VOLUMES, report_to_json
+from sumrank.report import QUESTIONS, REPORT_SCHEMA, VARIANTS, VOLUMES, report_to_json
 from sumrank.volumes import Params
 
 PARAMS_221 = ["--q", "2", "--m", "2", "--eta", "2", "--ell", "1"]
 PARAMS_222 = ["--q", "2", "--m", "2", "--eta", "2", "--ell", "2"]
+# the variants that take the scalar center distance, not a profile
+SCALAR = {variant.name for variant in VARIANTS if variant.scalar}
 
 
 def run_cli(capsys, *args):
@@ -180,8 +182,7 @@ def test_intersect_oracle_enumerates_each_profile_once(capsys, monkeypatch, vari
     # one pass per composition of t = 2, shared by every per-profile formula
     assert calls == [(0, 2), (1, 1), (2, 0)]
     for rec in report["records"]:
-        literal = rec["formula_variant"].endswith("-literal")
-        assert (rec["oracle_value"] is None) == literal
+        assert (rec["oracle_value"] is None) == (rec["formula_variant"] in SCALAR)
 
 
 def test_intersect_asks_each_partition_once(capsys, monkeypatch):
@@ -543,6 +544,9 @@ THM3_RULE = ("error: thm3 requires u (= gamma) <= delta and s = delta - u at cen
          None),
         (["volume", *PARAMS_221, "--kind", "distribution", "--format", "csv",
           "--output", "{missing}/d.csv"], None),
+        # an empty path is a path that cannot be written, not a request for stdout
+        (["volume", *PARAMS_221, "--kind", "sphere", "--t", "1", "--output", ""],
+         "error: cannot write --output: [Errno 2] No such file or directory: ''"),
         (["volume", *PARAMS_221, "--kind", "sphere", "--t", "1", "--budget", "-1"], None),
         (["volume", "--q", "6", "--m", "2", "--eta", "2", "--ell", "1", "--kind", "sphere",
           "--t", "1"], None),
@@ -595,8 +599,8 @@ THM3_RULE = ("error: thm3 requires u (= gamma) <= delta and s = delta - u at cen
         (["intersect", *PARAMS_222, "--u", "1", "--s", "99", "--profile", "2,1",
           "--variant", "thm3", "--oracle"], THM3_RULE),
     ],
-    ids=["output-dir-missing", "csv-dir-missing", "negative-budget", "q-not-prime-power",
-         "volume-oracle-q-composite", "intersect-oracle-q-composite",
+    ids=["output-dir-missing", "csv-dir-missing", "output-empty", "negative-budget",
+         "q-not-prime-power", "volume-oracle-q-composite", "intersect-oracle-q-composite",
          "intersect-oracle-literal-only", "intersect-oracle-literal-only-q-composite",
          "verify-q-composite",
          "profile-too-short", "profile-part-above-mu", "profile-not-integers",
@@ -764,9 +768,9 @@ def test_a_variant_writes_one_record_shape(capsys):
         for rec in report["records"]:
             name = rec["formula_variant"]
             seen.add(name)
-            # a literal reading answers the scalar --t, so it names no profile
+            # a scalar variant answers the distance --t, so it names no profile
             expected = [key for key in verify_keys[name]
-                        if key != "profile" or not name.endswith("-literal")]
+                        if key != "profile" or name not in SCALAR]
             assert list(rec["query"]) == expected
     assert seen == {"exact", "thm1-literal", "thm2-profile", "thm2-literal", "thm3-aggregate",
                     "thm3-literal"}

@@ -1,4 +1,9 @@
+import contextlib
+import dataclasses
 import hashlib
+import io
+import itertools
+import json
 import re
 from dataclasses import asdict
 
@@ -174,9 +179,65 @@ def _per_profile_records(p, budget):
                 # a naive rectangle sum, independent of the table the harness reads
                 count = sum(sum(row[: s + 1]) for row in hists[profile][: u + 1])
                 for variant in question.variants:
-                    value = variant.formula(p, u, s, delta if variant.literal else profile)
+                    value = variant.formula(p, u, s, delta if variant.scalar else profile)
                     add(variant, variant.query(u, s, delta, profile), value, count)
     return records, findings
+
+
+def _by_table_name(report):
+    """A report's records and findings, every renamed variant given its table name again."""
+    names = {"thm3-printed": "thm3-literal", "thm3-aggregate-literal": "thm3-aggregate"}
+    return [{**rec, "formula_variant": names.get(rec["formula_variant"], rec["formula_variant"])}
+            for rec in report["records"] + report.get("paper_variant_discrepancies", [])]
+
+
+def test_a_variant_takes_the_distance_it_declares_not_the_one_its_name_suggests(monkeypatch):
+    def intersect():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["intersect", "--q", "2", "--m", "2", "--eta", "2", "--ell", "2",
+                         "--u", "1", "--s", "1", "--t", "2", "--variant", "thm3"])
+        assert code == EXIT_OK
+        return json.loads(out.getvalue())
+
+    def both_commands():
+        return [_by_table_name(intersect()),
+                _by_table_name(run_verification([(2, 2, 2, 2)], 2**24)[0])]
+
+    expected = both_commands()
+    aggregate, printed = QUESTIONS["thm3"].variants
+    assert not aggregate.scalar and printed.scalar
+    # a scalar reading whose name lacks "-literal", and a per-profile one whose name has it
+    monkeypatch.setitem(QUESTIONS, "thm3", dataclasses.replace(QUESTIONS["thm3"], variants=(
+        dataclasses.replace(aggregate, name="thm3-aggregate-literal"),
+        dataclasses.replace(printed, name="thm3-printed"))))
+    assert {rec["formula_variant"] for rec in intersect()["records"]} == {
+        "thm3-aggregate-literal", "thm3-printed"}
+    assert both_commands() == expected
+
+
+@st.composite
+def _partitions(draw):
+    """A cell with q in {2, 3, 4} and m, eta, ell <= 3, and a sorted profile of it."""
+    p = Params(q=draw(st.sampled_from([2, 3, 4])), m=draw(st.integers(1, 3)),
+               eta=draw(st.integers(1, 3)), ell=draw(st.integers(1, 3)))
+    return p, tuple(sorted(draw(st.lists(st.integers(0, p.mu), min_size=p.ell,
+                                         max_size=p.ell))))
+
+
+@settings(deadline=None)
+@given(_partitions())
+def test_per_profile_variants_take_one_value_per_partition(cell):
+    # the commands ask a per-profile variant once per partition, for all its compositions
+    p, partition = cell
+    compositions = set(itertools.permutations(partition))
+    for question in QUESTIONS.values():
+        for u, s in question.sweep(p.max_weight, sum(partition)):
+            for variant in question.variants:
+                if not variant.scalar:
+                    expected = variant.formula(p, u, s, partition)
+                    assert all(variant.formula(p, u, s, d) == expected for d in compositions), (
+                        variant.name, u, s)
 
 
 @st.composite
